@@ -4,19 +4,22 @@
 // redundancy).
 //
 // Two series:
-//   simplify   per-fleet rule reduction: total rules before/after the
-//              proven simplify pass, per-transform counts, proof status
-//              tally — the paper-style effectiveness table
-//   audit      end-to-end run_fleet wall time (parse -> simplify -> lint)
-//              at 1/2/8 executor threads over the same fleet, with the
-//              byte-determinism of the aggregate SARIF/JSON reports
-//              checked across thread counts (the determinism contract at
-//              the acceptance scale of 100 devices)
+//   audit_serial  wall time of the whole serial run_fleet with library
+//                 defaults (parse -> proven simplify -> every lint pass,
+//                 redundancy included), carrying the per-fleet rule
+//                 reduction: total rules before/after simplify,
+//                 per-transform counts, proof status tally — the
+//                 paper-style effectiveness table
+//   audit         the same run_fleet at 1/2/8 executor threads over the
+//                 same fleet, with the byte-determinism of the aggregate
+//                 SARIF/JSON reports checked across thread counts (the
+//                 determinism contract at the acceptance scale of 100
+//                 devices)
 //
 // Writes BENCH_fleet.json (dfw-bench-obs-v1). --quick trims the site
 // sweep but keeps per-site geometry identical, so quick records compare
 // against the committed baseline under dfw_bench_diff --key-params=
-// sites,threads.
+// sites,threads (CI gates audit_serial with --key-params=sites).
 
 #include <cstdio>
 #include <cstdint>
@@ -104,7 +107,7 @@ int main(int argc, char** argv) {
   for (const std::size_t sites : site_sweep) {
     const std::vector<fleet::FleetSource> sources = render_fleet(sites);
 
-    // --- simplify effectiveness (serial, the canonical report) ---
+    // --- serial audit + simplify effectiveness (the canonical report) ---
     fleet::FleetOptions options;
     MetricsRegistry serial_metrics;
     options.run.obs.metrics = &serial_metrics;
@@ -127,7 +130,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(t.proven),
                 static_cast<unsigned long long>(t.dead),
                 static_cast<unsigned long long>(t.merged));
-    report.add("simplify",
+    report.add("audit_serial",
                {{"sites", sites},
                 {"rules_before", t.rules_before},
                 {"rules_after", t.rules_after},

@@ -3,10 +3,14 @@
 // method 2 (Section 6.2).
 //
 // A rule is redundant iff removing it does not change the firewall's
-// mapping from packets to decisions. We decide that definitionally with an
-// FDD equivalence check per candidate, and remove greedily back to front,
-// re-checking against the shrinking policy so the final sequence has no
-// redundant rule left (a maximal removal set).
+// mapping from packets to decisions. One pass decides every rule at once:
+// the Fig. 7 append builds a single partial FDD in rule order whose
+// terminals record each packet class's first matching rule and the
+// decision of its second; rule i is redundant iff every terminal it
+// matches first falls through to the same decision (a rule that matches
+// first nowhere is dead, hence redundant). Removal is greedy back to
+// front, re-deciding against the shrinking policy so the final sequence
+// has no redundant rule left (a maximal removal set).
 
 #pragma once
 
@@ -20,18 +24,20 @@ namespace dfw {
 class RunContext;
 
 /// True iff rules()[index] is redundant in `policy` — removing it leaves
-/// the packet-to-decision mapping unchanged. Requires a comprehensive
-/// policy with at least two rules and index < size(). The governed
-/// variant threads `context` (borrowed, nullable) through the per-
-/// candidate FDD builds and equivalence walks; a breach throws dfw::Error.
+/// the packet-to-decision mapping unchanged. False whenever the policy
+/// is not comprehensive or has fewer than two rules; throws
+/// std::out_of_range unless index < size(). The governed variant
+/// checkpoints and charges the diagram's nodes against `context`
+/// (borrowed, nullable); a breach throws dfw::Error.
 bool is_redundant(const Policy& policy, std::size_t index);
 bool is_redundant(const Policy& policy, std::size_t index,
                   RunContext* context);
 
 /// Indices (ascending) of rules redundant *in the original policy*, each
-/// tested independently. Note removing several at once is not always
-/// sound; use remove_redundant for that. Same governed-variant contract
-/// as is_redundant.
+/// decided independently (empty where is_redundant is always false).
+/// Note removing several at once is not always sound; use
+/// remove_redundant for that. Same governed-variant contract as
+/// is_redundant.
 std::vector<std::size_t> redundant_rules(const Policy& policy);
 std::vector<std::size_t> redundant_rules(const Policy& policy,
                                          RunContext* context);

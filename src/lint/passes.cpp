@@ -306,8 +306,8 @@ void pass_merge(PassState& state, std::vector<Diagnostic>& out) {
 // --- pass: redundancy ------------------------------------------------------
 // Semantic per-rule redundancy (the paper's ref [19]): rules whose
 // removal provably leaves the packet-to-decision mapping unchanged. An
-// absence finding — warning, no witness. The most expensive pass (one
-// FDD equivalence check per rule); disable it for quick gates.
+// absence finding — warning, no witness. Decided for every rule in one
+// pass over a first/second-match diagram (gen/redundancy.hpp).
 
 void pass_redundancy(PassState& state, std::vector<Diagnostic>& out) {
   if (!state.comprehensive()) {
@@ -401,7 +401,7 @@ std::vector<LintPass> builtin_passes() {
        pass_dead_rules},
       {"merge", "adjacent-rule merges and whole-policy compaction",
        pass_merge},
-      {"redundancy", "semantically removable rules (expensive)",
+      {"redundancy", "semantically removable rules",
        pass_redundancy},
       {"properties", "declarative property checks", pass_properties},
   };

@@ -17,6 +17,8 @@
 #include "fdd/compare.hpp"
 #include "fdd/construct.hpp"
 #include "gen/generate.hpp"
+#include "gen/redundancy.hpp"
+#include "lint/engine.hpp"
 #include "rt/govern.hpp"
 
 namespace dfw {
@@ -305,6 +307,57 @@ TEST(GovernTest, SubmissionBreachPropagatesAsStructuredError) {
   EXPECT_THROW(session.submit("a", adversarial(32, false)), Error);
   EXPECT_TRUE(ctx.aborted());
   EXPECT_EQ(ctx.abort_code(), ErrorCode::kNodeBudgetExceeded);
+}
+
+// ---------------------------------------------------------------------------
+// Redundancy detection: the one-pass kernel charges its diagram to the
+// run's budget, and the lint pass built on it degrades to a partial report.
+
+TEST(GovernTest, RedundancyKernelHonoursBudgetAndCancellation) {
+  const Policy p = adversarial(12, false);
+  RunContext ctx = RunContext::with_budgets({.max_nodes = 64});
+  EXPECT_THROW(redundant_rules(p, &ctx), Error);
+  EXPECT_EQ(ctx.abort_code(), ErrorCode::kNodeBudgetExceeded);
+
+  CancelSource source;
+  source.cancel();
+  RunContext::Config config;
+  config.cancel = source.token();
+  RunContext cancelled(config);
+  EXPECT_THROW(is_redundant(p, 0, &cancelled), Error);
+  EXPECT_EQ(cancelled.abort_code(), ErrorCode::kCancelled);
+
+  // An idle context is charged but changes nothing.
+  RunContext idle;
+  EXPECT_EQ(redundant_rules(p, &idle), redundant_rules(p));
+  EXPECT_GT(idle.nodes_charged(), 64u);
+}
+
+TEST(GovernTest, LintRedundancyPassStopsOnBudgetWithPartialReport) {
+  const Policy p = adversarial(12, false);
+  lint::LintInput input;
+  input.policy = &p;
+  input.decisions = &default_decisions();
+  const lint::LintEngine engine;
+
+  // Measure what the coverage pass alone charges, then leave the
+  // redundancy pass a single node of budget.
+  RunContext probe;
+  lint::LintOptions coverage_only;
+  coverage_only.passes = {"coverage"};
+  coverage_only.run.context = &probe;
+  ASSERT_TRUE(engine.run(input, coverage_only).complete);
+
+  RunContext ctx =
+      RunContext::with_budgets({.max_nodes = probe.nodes_charged() + 1});
+  lint::LintOptions options;
+  options.passes = {"coverage", "redundancy"};
+  options.run.context = &ctx;
+  const lint::LintReport report = engine.run(input, options);
+  EXPECT_FALSE(report.complete);
+  EXPECT_EQ(report.status, ErrorCode::kNodeBudgetExceeded);
+  EXPECT_EQ(report.passes_run, std::vector<std::string>{"coverage"});
+  EXPECT_NE(report.message.find("pass 'redundancy'"), std::string::npos);
 }
 
 }  // namespace

@@ -25,7 +25,8 @@ constexpr const char* kUsage =
     "\n"
     "Diffs two dfw-bench-obs-v1 documents record by record and exits 1\n"
     "when any compared value's current/baseline ratio escapes the\n"
-    "threshold window — the CI perf-regression gate (docs/benchmarks).\n"
+    "threshold window — the CI perf-regression gate (perfbench/README.md;\n"
+    "committed baselines in bench/baselines/).\n"
     "\n"
     "matching and thresholds:\n"
     "  --max-ratio=R     fail a record when current/baseline > R\n"
