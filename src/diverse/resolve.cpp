@@ -2,83 +2,25 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
-#include "fdd/construct.hpp"
-#include "fdd/shape.hpp"
-#include "gen/generate.hpp"
-#include "gen/redundancy.hpp"
+#include "diverse/workflow.hpp"
 
 namespace dfw {
 namespace {
 
-// Validates the plan against a freshly computed discrepancy list and
-// returns agreed decisions indexed by discrepancy position.
-std::vector<Decision> agreed_by_index(
-    const std::vector<Discrepancy>& discrepancies,
-    const ResolutionPlan& plan) {
-  std::vector<bool> covered(discrepancies.size(), false);
-  std::vector<Decision> agreed(discrepancies.size(), kAccept);
-  for (const Resolution& r : plan) {
-    if (r.discrepancy_index >= discrepancies.size()) {
-      throw std::invalid_argument("resolution: discrepancy index out of range");
-    }
-    if (covered[r.discrepancy_index]) {
-      throw std::invalid_argument("resolution: discrepancy resolved twice");
-    }
-    covered[r.discrepancy_index] = true;
-    agreed[r.discrepancy_index] = r.agreed;
+// The free entry points are one-shot sessions: one code path, whichever
+// way resolution is reached.
+Policy resolve_in_session(const std::vector<Policy>& policies,
+                          const ResolutionPlan& plan, std::size_t base_team,
+                          const ObsOptions& obs, ResolutionMethod method) {
+  WorkflowOptions options;
+  options.run.obs = obs;
+  DiverseDesign session(DecisionSet(), options);
+  for (std::size_t i = 0; i < policies.size(); ++i) {
+    session.submit("team" + std::to_string(i + 1), policies[i]);
   }
-  if (!std::all_of(covered.begin(), covered.end(),
-                   [](bool b) { return b; })) {
-    throw std::invalid_argument("resolution: some discrepancy left unresolved");
-  }
-  return agreed;
-}
-
-std::vector<Fdd> build_shaped(const std::vector<Policy>& policies,
-                              const ObsOptions& obs = {}) {
-  if (policies.size() < 2) {
-    throw std::invalid_argument("resolution: need at least two policies");
-  }
-  std::vector<Fdd> fdds;
-  fdds.reserve(policies.size());
-  for (const Policy& p : policies) {
-    ConstructOptions construct;
-    construct.run.obs = obs;
-    fdds.push_back(build_reduced_fdd(p, construct));
-    fdds.back().validate();
-  }
-  shape_all(fdds);
-  return fdds;
-}
-
-// Walks the semi-isomorphic diagrams in the same depth-first order as the
-// comparison algorithm; at each discrepant terminal (not all decisions
-// equal) overwrites `base`'s terminal with the next agreed decision.
-void correct(std::vector<FddNode*>& nodes, FddNode* base,
-             const std::vector<Decision>& agreed, std::size_t& next) {
-  const FddNode* first = nodes.front();
-  if (first->is_terminal()) {
-    const bool all_equal = std::all_of(
-        nodes.begin(), nodes.end(), [&](const FddNode* n) {
-          return n->decision == first->decision;
-        });
-    if (!all_equal) {
-      if (next >= agreed.size()) {
-        throw std::logic_error("resolution: discrepancy walk out of sync");
-      }
-      base->decision = agreed[next++];
-    }
-    return;
-  }
-  for (std::size_t e = 0; e < first->edges.size(); ++e) {
-    std::vector<FddNode*> children;
-    children.reserve(nodes.size());
-    for (FddNode* n : nodes) {
-      children.push_back(n->edges[e].target.get());
-    }
-    correct(children, base->edges[e].target.get(), agreed, next);
-  }
+  return session.resolve(plan, method, base_team);
 }
 
 }  // namespace
@@ -127,26 +69,8 @@ Policy resolve_via_fdd(const std::vector<Policy>& policies,
 Policy resolve_via_fdd(const std::vector<Policy>& policies,
                        const ResolutionPlan& plan, std::size_t base_team,
                        const ObsOptions& obs) {
-  if (base_team >= policies.size()) {
-    throw std::invalid_argument("resolve_via_fdd: no such team");
-  }
-  std::vector<Fdd> fdds = build_shaped(policies, obs);
-  const std::vector<Discrepancy> discrepancies = compare_fdds_many(fdds);
-  const std::vector<Decision> agreed = agreed_by_index(discrepancies, plan);
-
-  std::vector<FddNode*> roots;
-  roots.reserve(fdds.size());
-  for (Fdd& f : fdds) {
-    roots.push_back(&f.mutable_root());
-  }
-  std::size_t next = 0;
-  correct(roots, &fdds[base_team].mutable_root(), agreed, next);
-  if (next != agreed.size()) {
-    throw std::logic_error("resolve_via_fdd: correction walk out of sync");
-  }
-  GenerateOptions generate;
-  generate.run.obs = obs;
-  return generate_policy(fdds[base_team], generate);
+  return resolve_in_session(policies, plan, base_team, obs,
+                            ResolutionMethod::kCorrectedFdd);
 }
 
 Policy resolve_via_corrections(const std::vector<Policy>& policies,
@@ -158,26 +82,8 @@ Policy resolve_via_corrections(const std::vector<Policy>& policies,
 Policy resolve_via_corrections(const std::vector<Policy>& policies,
                                const ResolutionPlan& plan,
                                std::size_t base_team, const ObsOptions& obs) {
-  if (base_team >= policies.size()) {
-    throw std::invalid_argument("resolve_via_corrections: no such team");
-  }
-  std::vector<Fdd> fdds = build_shaped(policies, obs);
-  const std::vector<Discrepancy> discrepancies = compare_fdds_many(fdds);
-  const std::vector<Decision> agreed = agreed_by_index(discrepancies, plan);
-
-  const Policy& base = policies[base_team];
-  std::vector<Rule> rules;
-  for (std::size_t i = 0; i < discrepancies.size(); ++i) {
-    // Only the resolutions the base team got wrong need prepending; the
-    // discrepancy predicates are pairwise disjoint (distinct decision
-    // paths), so their relative order is immaterial.
-    if (discrepancies[i].decisions[base_team] != agreed[i]) {
-      rules.emplace_back(base.schema(), discrepancies[i].conjuncts,
-                         agreed[i]);
-    }
-  }
-  rules.insert(rules.end(), base.rules().begin(), base.rules().end());
-  return remove_redundant(Policy(base.schema(), std::move(rules)));
+  return resolve_in_session(policies, plan, base_team, obs,
+                            ResolutionMethod::kPrependAndTrim);
 }
 
 }  // namespace dfw

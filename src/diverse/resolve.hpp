@@ -42,13 +42,15 @@ ResolutionPlan plan_by_majority(const std::vector<Discrepancy>& discrepancies,
 /// Method 1 (Section 6.1): correct the shaped FDD of team `base_team` at
 /// every discrepant terminal and generate a compact policy from it.
 /// `policies` are the original team firewalls (>= 2, same schema,
-/// comprehensive); `plan` must cover all their discrepancies.
+/// comprehensive); `plan` must cover all their discrepancies. Equivalent
+/// to submitting `policies` to a DiverseDesign session and resolving
+/// there (diverse/workflow.hpp).
 Policy resolve_via_fdd(const std::vector<Policy>& policies,
                        const ResolutionPlan& plan, std::size_t base_team = 0);
 
-/// Observable variant: the internal rebuild/shape/compare walk runs with
-/// the given sinks (per-policy "build_reduced_fdd" spans) and the final
-/// regeneration emits its "generate" span and "gen.rules_emitted" count.
+/// Observable variant: runs as a one-shot DiverseDesign session with the
+/// given sinks (its submit, comparison and "generate" spans, and the
+/// "gen.rules_emitted" count).
 Policy resolve_via_fdd(const std::vector<Policy>& policies,
                        const ResolutionPlan& plan, std::size_t base_team,
                        const ObsOptions& obs);

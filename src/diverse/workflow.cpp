@@ -1,41 +1,103 @@
 #include "diverse/workflow.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "diverse/discrepancy.hpp"
-#include "fdd/construct.hpp"
+#include "gen/redundancy.hpp"
+#include "obs/metrics.hpp"
 #include "rt/executor.hpp"
+#include "rt/fault.hpp"
 #include "rt/parallel.hpp"
 
 namespace dfw {
+namespace {
+
+// Absorbs what one session operation added to the arena's counters, also
+// when a breach unwinds the operation: a lifetime total absorbed per
+// operation would count every earlier operation again.
+class ArenaStatsDelta {
+ public:
+  ArenaStatsDelta(const FddArena& arena, MetricsRegistry* metrics)
+      : arena_(arena), metrics_(metrics), before_(arena.stats_snapshot()) {}
+  ~ArenaStatsDelta() {
+    if (metrics_ != nullptr) {
+      absorb(*metrics_, arena_.stats() - before_);
+    }
+  }
+
+  ArenaStatsDelta(const ArenaStatsDelta&) = delete;
+  ArenaStatsDelta& operator=(const ArenaStatsDelta&) = delete;
+
+ private:
+  const FddArena& arena_;
+  MetricsRegistry* metrics_;
+  ArenaStats before_;
+};
+
+// Validates the plan against the session's discrepancy list and returns
+// agreed decisions indexed by discrepancy position.
+std::vector<Decision> agreed_by_index(
+    const std::vector<Discrepancy>& discrepancies,
+    const ResolutionPlan& plan) {
+  std::vector<bool> covered(discrepancies.size(), false);
+  std::vector<Decision> agreed(discrepancies.size(), kAccept);
+  for (const Resolution& r : plan) {
+    if (r.discrepancy_index >= discrepancies.size()) {
+      throw std::invalid_argument("resolution: discrepancy index out of range");
+    }
+    if (covered[r.discrepancy_index]) {
+      throw std::invalid_argument("resolution: discrepancy resolved twice");
+    }
+    covered[r.discrepancy_index] = true;
+    agreed[r.discrepancy_index] = r.agreed;
+  }
+  if (!std::all_of(covered.begin(), covered.end(),
+                   [](bool b) { return b; })) {
+    throw std::invalid_argument("resolution: some discrepancy left unresolved");
+  }
+  return agreed;
+}
+
+}  // namespace
 
 DiverseDesign::DiverseDesign(DecisionSet decisions, WorkflowOptions options)
     : decisions_(std::move(decisions)), options_(options) {}
 
-CompareOptions DiverseDesign::compare_options() const {
-  CompareOptions options;
-  options.run = options_.run;
-  options.fork_threshold = options_.fork_threshold;
-  options.use_arena = options_.use_arena;
-  return options;
-}
-
 std::size_t DiverseDesign::submit(std::string team_name, Policy policy) {
-  ScopedSpan span(options_.run.obs.tracer, "workflow.submit", "team",
-                  policies_.size());
+  const ObsOptions& obs = options_.run.obs;
+  ScopedSpan span(obs.tracer, "workflow.submit", "team", policies_.size());
   if (!policies_.empty() && !(policy.schema() == policies_[0].schema())) {
     throw std::invalid_argument("submit: schema differs from earlier teams");
   }
+  // Phase-boundary fault site: fires before any construction state exists.
+  fault::hit(options_.run.faults, fault::sites::kConstructPhase);
+  if (policies_.empty()) {
+    // A fresh arena per session, over the first team's schema; a first
+    // submission that failed leaves nothing behind.
+    arena_ = std::make_unique<FddArena>(policy.schema());
+    arena_->set_context(options_.run.context);
+    arena_->set_faults(options_.run.faults);
+  }
+  ArenaStatsDelta delta(*arena_, obs.metrics);
   // Comprehensiveness gate: a rule sequence must cover every packet to
   // serve as a firewall (Section 3.1). Governed sessions bound this build
   // too — a hostile submission must not hang the design phase.
-  ConstructOptions construct;
-  construct.run.context = options_.run.context;
-  construct.run.obs = options_.run.obs;
-  Fdd fdd = build_reduced_fdd(policy, construct);
-  fdd.validate();
+  ArenaNodeId root;
+  {
+    PhaseSpan phase(obs, "construct");
+    ScopedSpan build(obs.tracer, "build_reduced_fdd", "rules", policy.size(),
+                     "policy", policies_.size());
+    root = arena_->build_reduced(policy);
+  }
+  {
+    PhaseSpan phase(obs, "validate");
+    arena_->validate(root);
+  }
   names_.push_back(std::move(team_name));
   policies_.push_back(std::move(policy));
+  roots_.push_back(root);
+  comparison_.reset();
   return policies_.size() - 1;
 }
 
@@ -46,28 +108,66 @@ const Policy& DiverseDesign::policy(std::size_t team) const {
   return policies_[team];
 }
 
-std::vector<Discrepancy> DiverseDesign::compare() const {
+void DiverseDesign::require_two_teams(const char* what) const {
   if (policies_.size() < 2) {
-    throw std::logic_error("compare: need at least two teams");
+    throw std::logic_error(std::string(what) + ": need at least two teams");
   }
+}
+
+void DiverseDesign::run_comparison(Comparison& out) const {
+  const ObsOptions& obs = options_.run.obs;
+  ArenaStatsDelta delta(*arena_, obs.metrics);
+  out.shaped = roots_;
+  {
+    PhaseSpan phase(obs, "shape");
+    arena_->shape_all(out.shaped);
+  }
+  PhaseSpan phase(obs, "compare");
+  arena_->compare_into(out.shaped, out.discrepancies);
+}
+
+const DiverseDesign::Comparison& DiverseDesign::comparison() const {
+  if (!comparison_) {
+    Comparison c;
+    run_comparison(c);
+    comparison_ = std::move(c);
+  }
+  return *comparison_;
+}
+
+std::vector<Discrepancy> DiverseDesign::compare() const {
+  require_two_teams("compare");
   ScopedSpan span(options_.run.obs.tracer, "workflow.compare", "teams",
                   policies_.size());
-  return discrepancies_many(policies_, compare_options());
+  return comparison().discrepancies;
 }
 
 CompareOutcome DiverseDesign::compare_governed() const {
-  if (policies_.size() < 2) {
-    throw std::logic_error("compare: need at least two teams");
-  }
+  require_two_teams("compare");
   ScopedSpan span(options_.run.obs.tracer, "workflow.compare", "teams",
                   policies_.size());
-  return discrepancies_many_governed(policies_, compare_options());
+  CompareOutcome outcome;
+  if (!comparison_) {
+    Comparison c;
+    try {
+      run_comparison(c);
+    } catch (const Error& e) {
+      // Governance cuts (cancel/deadline/budget) become a partial report;
+      // anything else — bad inputs, internal faults — keeps propagating.
+      outcome.discrepancies = std::move(c.discrepancies);
+      outcome.complete = false;
+      outcome.status = e.code();
+      outcome.message = e.what();
+      return outcome;
+    }
+    comparison_ = std::move(c);
+  }
+  outcome.discrepancies = comparison_->discrepancies;
+  return outcome;
 }
 
 std::vector<PairwiseReport> DiverseDesign::cross_compare() const {
-  if (policies_.size() < 2) {
-    throw std::logic_error("cross_compare: need at least two teams");
-  }
+  require_two_teams("cross_compare");
   ScopedSpan span(options_.run.obs.tracer, "workflow.cross_compare", "teams",
                   policies_.size());
   std::vector<std::pair<std::size_t, std::size_t>> pairs;
@@ -80,15 +180,13 @@ std::vector<PairwiseReport> DiverseDesign::cross_compare() const {
   // Each pair is an independent construct->shape->compare pipeline; run
   // them as pool tasks. The pair pipelines get a serial CompareOptions so
   // the pool's threads each own one whole pipeline instead of contending
-  // over intra-pair subtasks.
+  // over intra-pair subtasks; each task then builds in its own task-local
+  // arena.
   Executor& ex = executor_or_inline(options_.run);
-  // A serial pipeline per pair keeps each task on one thread; use_arena
-  // then gives every task its own task-local arena.
   CompareOptions pair_options;
   pair_options.run.context = options_.run.context;
   pair_options.run.obs = options_.run.obs;
   pair_options.fork_threshold = options_.fork_threshold;
-  pair_options.use_arena = options_.use_arena;
   const auto run_pair = [&](std::size_t i) {
     const auto [a, b] = pairs[i];
     // One span per unordered pair, on whichever pool thread runs it; the
@@ -147,12 +245,45 @@ Policy DiverseDesign::resolve(const ResolutionPlan& plan,
                               std::size_t base_team) const {
   ScopedSpan span(options_.run.obs.tracer, "workflow.resolve", "base_team",
                   base_team);
+  if (policies_.size() < 2) {
+    throw std::invalid_argument("resolution: need at least two policies");
+  }
+  if (base_team >= policies_.size()) {
+    throw std::invalid_argument("resolve: no such team");
+  }
+  const Comparison& c = comparison();
+  const std::vector<Decision> agreed = agreed_by_index(c.discrepancies, plan);
   switch (method) {
-    case ResolutionMethod::kCorrectedFdd:
-      return resolve_via_fdd(policies_, plan, base_team, options_.run.obs);
-    case ResolutionMethod::kPrependAndTrim:
-      return resolve_via_corrections(policies_, plan, base_team,
-                                     options_.run.obs);
+    case ResolutionMethod::kCorrectedFdd: {
+      // Method 1 (Section 6.1): correct the base team's shaped diagram at
+      // every discrepant terminal, then generate rules from its reduced
+      // image.
+      const ObsOptions& obs = options_.run.obs;
+      ArenaStatsDelta delta(*arena_, obs.metrics);
+      const ArenaNodeId corrected =
+          arena_->correct(c.shaped, base_team, agreed);
+      PhaseSpan phase(obs, "generate");
+      Policy out = arena_->generate(arena_->canonicalize(corrected));
+      if (obs.metrics != nullptr) {
+        obs.metrics->counter("gen.rules_emitted").add(out.size());
+      }
+      return out;
+    }
+    case ResolutionMethod::kPrependAndTrim: {
+      // Method 2 (Section 6.2): prepend the resolutions the base team got
+      // wrong; the discrepancy predicates are pairwise disjoint (distinct
+      // decision paths), so their relative order is immaterial.
+      const Policy& base = policies_[base_team];
+      std::vector<Rule> rules;
+      for (std::size_t i = 0; i < c.discrepancies.size(); ++i) {
+        if (c.discrepancies[i].decisions[base_team] != agreed[i]) {
+          rules.emplace_back(base.schema(), c.discrepancies[i].conjuncts,
+                             agreed[i]);
+        }
+      }
+      rules.insert(rules.end(), base.rules().begin(), base.rules().end());
+      return remove_redundant(Policy(base.schema(), std::move(rules)));
+    }
   }
   throw std::invalid_argument("resolve: unknown method");
 }

@@ -6,21 +6,30 @@
 // Cross comparison of all pairs (Section 7.3) is offered alongside the
 // direct N-way comparison.
 //
+// Construction dominates the pipeline (Fig. 13), so a session builds each
+// team's diagram exactly once: submit() interns it into one session-wide
+// FddArena (fdd/arena.hpp) and validates it there, direct comparison
+// shapes and compares copies of the stored roots, and resolution reuses
+// the shaped roots and the discrepancy list of that comparison. Teams
+// perturbed from a common base share interned nodes, and the arena's memo
+// caches carry over from one phase to the next.
+//
 // Session-wide knobs travel in WorkflowOptions: the resolution method and
-// base team, the comparison mode the report uses, and the executor the
-// comparison phase runs on. The executor default is serial
-// (Executor::inline_executor()); with a pool, cross comparison runs its
-// K(K-1)/2 pairs as independent tasks and direct comparison constructs
-// the K diagrams concurrently — with output identical to serial.
+// base team, the comparison mode the report uses, and the executor cross
+// comparison runs on. A session is single-threaded, like its arena: call
+// one member at a time.
 
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "diverse/resolve.hpp"
+#include "fdd/arena.hpp"
 #include "fdd/compare.hpp"
 #include "fw/policy.hpp"
 
@@ -44,30 +53,30 @@ enum class ComparisonMode {
 /// Session-wide options for a DiverseDesign run.
 struct WorkflowOptions {
   /// Shared execution knobs (rt/run_options.hpp), honoured by the whole
-  /// session. `run.executor` (borrowed; null = serial) drives the
-  /// comparison phase: cross comparison runs its K(K-1)/2 pairs as
-  /// independent tasks and direct comparison constructs the K diagrams
-  /// concurrently, with output identical to serial. `run.context`
-  /// (borrowed, nullable) governs submission builds, comparison, and
-  /// resolution alike: with a context set, cross_compare() reports
-  /// per-pair status instead of throwing and compare_governed() returns
-  /// partial results; the plain entry points let the dfw::Error
-  /// propagate. `run.obs` (borrowed, nullable sinks) observes the
-  /// session: submissions run under "workflow.submit" spans, the
-  /// comparison phase under "workflow.compare"/"workflow.cross_compare"
-  /// with one "pair" span per unordered pair, and resolution under
-  /// "workflow.resolve"; the underlying pipelines inherit the sinks
-  /// through CompareOptions/ConstructOptions/GenerateOptions.
+  /// session. `run.executor` (borrowed; null = serial) drives cross
+  /// comparison, which runs its K(K-1)/2 pairs as independent tasks with
+  /// output identical to serial; direct comparison and resolution work on
+  /// the session arena and stay serial. `run.context` (borrowed,
+  /// nullable) governs submission builds, comparison, and resolution
+  /// alike: with a context set, cross_compare() reports per-pair status
+  /// instead of throwing and compare_governed() returns partial results;
+  /// the plain entry points let the dfw::Error propagate. `run.faults`
+  /// (borrowed, nullable) is hit at the construct phase of every submit
+  /// and at every node the session arena materialises. `run.obs`
+  /// (borrowed, nullable sinks) observes the session: submissions run
+  /// under "workflow.submit" spans holding the "construct" and "validate"
+  /// phases, the comparison phase under "workflow.compare" (the "shape"
+  /// and "compare" phases) or "workflow.cross_compare" with one "pair"
+  /// span per unordered pair, and resolution under "workflow.resolve"
+  /// (the "generate" phase for method 1). The session arena's counters
+  /// land in the registry once per operation, as that operation's delta.
   RunOptions run = {};
   ResolutionMethod resolution = ResolutionMethod::kCorrectedFdd;
   /// Team whose rule sequence seeds the resolution phase.
   std::size_t base_team = 0;
   ComparisonMode comparison = ComparisonMode::kDirect;
-  /// Forwarded to the comparison pipeline (see CompareOptions).
+  /// Forwarded to the cross-comparison pipelines (see CompareOptions).
   std::size_t fork_threshold = 4;
-  /// Forwarded to the comparison pipeline: run serial comparisons
-  /// arena-native (see CompareOptions::use_arena).
-  bool use_arena = true;
 };
 
 /// One pairwise comparison result from cross comparison. In a governed
@@ -93,8 +102,8 @@ class DiverseDesign {
   const WorkflowOptions& options() const { return options_; }
 
   /// Design phase: registers one team's firewall. All firewalls must share
-  /// a schema and be comprehensive (validated on submit). Returns the team
-  /// index.
+  /// a schema and be comprehensive: the team's diagram is built into the
+  /// session arena once and validated there. Returns the team index.
   std::size_t submit(std::string team_name, Policy policy);
 
   std::size_t team_count() const { return policies_.size(); }
@@ -102,7 +111,10 @@ class DiverseDesign {
   const std::vector<std::string>& team_names() const { return names_; }
   const DecisionSet& decisions() const { return decisions_; }
 
-  /// Comparison phase, direct N-way (Section 7.3). Requires >= 2 teams.
+  /// Comparison phase, direct N-way (Section 7.3): shapes the stored
+  /// diagrams to a common refinement and walks them in lockstep. Requires
+  /// >= 2 teams. The result is kept until the next submit, so repeated
+  /// calls and resolve() reuse it.
   std::vector<Discrepancy> compare() const;
 
   /// Governed direct comparison: a breach of options().context becomes a
@@ -122,7 +134,8 @@ class DiverseDesign {
 
   /// Resolution phase: given an agreed decision per discrepancy (indices
   /// into compare()'s result), produce the final firewall using
-  /// options().resolution and options().base_team.
+  /// options().resolution and options().base_team. Runs the comparison
+  /// first when none is kept. Requires >= 2 teams.
   Policy resolve(const ResolutionPlan& plan) const;
   /// Same, with the session options overridden per call.
   Policy resolve(const ResolutionPlan& plan, ResolutionMethod method,
@@ -138,12 +151,30 @@ class DiverseDesign {
                               std::size_t base_team) const;
 
  private:
-  CompareOptions compare_options() const;
+  /// A complete direct comparison: the shaped (pairwise semi-isomorphic)
+  /// roots and the discrepancies of their lockstep walk.
+  struct Comparison {
+    std::vector<ArenaNodeId> shaped;
+    std::vector<Discrepancy> discrepancies;
+  };
+
+  void require_two_teams(const char* what) const;
+  /// Shapes and compares into `out`; a breach leaves the partial
+  /// discrepancy list in out.discrepancies.
+  void run_comparison(Comparison& out) const;
+  /// The kept comparison, computed on first use.
+  const Comparison& comparison() const;
 
   DecisionSet decisions_;
   WorkflowOptions options_;
   std::vector<std::string> names_;
   std::vector<Policy> policies_;
+  /// Session arena, created at the first submit. compare() and resolve()
+  /// are const but intern shaped and corrected nodes into it; ids never
+  /// change, so the stored roots stay valid.
+  std::unique_ptr<FddArena> arena_;
+  std::vector<ArenaNodeId> roots_;  ///< one reduced root per team
+  mutable std::optional<Comparison> comparison_;
 };
 
 }  // namespace dfw

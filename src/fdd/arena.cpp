@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "rt/fault.hpp"
 #include "rt/govern.hpp"
@@ -237,6 +238,27 @@ ArenaNodeId FddArena::from_tree(const FddNode& node) {
 
 ArenaNodeId FddArena::from_tree_canonical(const FddNode& node) {
   return from_tree_impl(node, true);
+}
+
+ArenaNodeId FddArena::canonicalize(ArenaNodeId root) {
+  if (is_terminal(root)) {
+    return root;
+  }
+  if (const auto it = canonical_cache_.find(root);
+      it != canonical_cache_.end()) {
+    return it->second;
+  }
+  // Children first, as from_tree_canonical does; edges() is re-read after
+  // every recursion because interning may grow the edge pool.
+  std::vector<ArenaEdge> out;
+  out.reserve(edges(root).size());
+  for (std::size_t i = 0; i < edges(root).size(); ++i) {
+    const ArenaEdge e = edges(root)[i];
+    out.push_back({e.label, canonicalize(e.target)});
+  }
+  const ArenaNodeId result = canonical(field(root), std::move(out));
+  canonical_cache_.emplace(root, result);
+  return result;
 }
 
 std::unique_ptr<FddNode> FddArena::to_tree(ArenaNodeId root) const {
@@ -602,6 +624,62 @@ void FddArena::compare_into(const std::vector<ArenaNodeId>& roots,
     return found;
   };
   walk(walk, roots);
+}
+
+ArenaNodeId FddArena::correct(const std::vector<ArenaNodeId>& roots,
+                              std::size_t base,
+                              const std::vector<Decision>& agreed) {
+  if (roots.empty() || base >= roots.size()) {
+    throw std::invalid_argument("FddArena::correct: no such base diagram");
+  }
+  std::size_t next = 0;
+  // Tuples proven discrepancy-free, as in compare_into's memo: they keep
+  // the base id and are pruned on every later encounter.
+  std::unordered_set<std::vector<ArenaNodeId>, IdVectorHash> clean;
+  const auto walk = [&](auto&& self,
+                        const std::vector<ArenaNodeId>& nodes) -> ArenaNodeId {
+    govern::checkpoint(govern_);
+    const ArenaNodeId first = nodes.front();
+    if (std::all_of(nodes.begin(), nodes.end(),
+                    [&](ArenaNodeId n) { return n == first; })) {
+      return nodes[base];
+    }
+    if (is_terminal(first)) {
+      if (next >= agreed.size()) {
+        throw std::logic_error("FddArena::correct: more discrepancies than "
+                               "agreed decisions");
+      }
+      return terminal(agreed[next++]);
+    }
+    if (clean.count(nodes) != 0) {
+      return nodes[base];
+    }
+    const std::size_t before = next;
+    const std::size_t edge_count = edges(first).size();
+    std::vector<ArenaEdge> out;
+    out.reserve(edge_count);
+    std::vector<ArenaNodeId> children(nodes.size());
+    for (std::size_t e = 0; e < edge_count; ++e) {
+      // edges() is re-read after every recursion: interning may grow the
+      // edge pool.
+      for (std::size_t k = 0; k < nodes.size(); ++k) {
+        children[k] = edges(nodes[k])[e].target;
+      }
+      const ArenaNodeId child = self(self, children);
+      out.push_back({edges(nodes[base])[e].label, child});
+    }
+    if (next == before) {
+      clean.insert(nodes);
+      return nodes[base];
+    }
+    return internal(field(first), std::move(out));
+  };
+  const ArenaNodeId result = walk(walk, roots);
+  if (next != agreed.size()) {
+    throw std::logic_error(
+        "FddArena::correct: fewer discrepancies than agreed decisions");
+  }
+  return result;
 }
 
 Decision FddArena::evaluate(ArenaNodeId root, const Packet& p) const {

@@ -140,6 +140,11 @@ class FddArena {
   /// reduce()-ing the tree.
   ArenaNodeId from_tree_canonical(const FddNode& node);
 
+  /// The canonical (reduced) image of a diagram already in this arena,
+  /// e.g. a shaped one: the id from_tree_canonical(*to_tree(root)) would
+  /// return, computed without expanding a tree. Memoised by node id.
+  ArenaNodeId canonicalize(ArenaNodeId root);
+
   /// Expands the diagram under `root` into an owning tree.
   std::unique_ptr<FddNode> to_tree(ArenaNodeId root) const;
   /// Same, wrapped in an Fdd over this arena's schema.
@@ -181,6 +186,16 @@ class FddArena {
   /// survive in `out` — the substrate of partial comparison reports.
   void compare_into(const std::vector<ArenaNodeId>& roots,
                     std::vector<Discrepancy>& out);
+
+  /// Discrepancy resolution on ids (Section 6.1): the diagram of
+  /// roots[base] with its n-th discrepant terminal — in compare_into's
+  /// depth-first order over the same pairwise semi-isomorphic `roots` —
+  /// replaced by the terminal deciding agreed[n]. Tuples holding no
+  /// discrepancy keep the base id; only nodes above a discrepancy are
+  /// rebuilt (internal(), not canonical). Throws std::logic_error unless
+  /// the walk meets exactly agreed.size() discrepancies.
+  ArenaNodeId correct(const std::vector<ArenaNodeId>& roots, std::size_t base,
+                      const std::vector<Decision>& agreed);
 
   /// The decision assigned to packet p; throws std::logic_error if p falls
   /// off a partial diagram.
@@ -241,6 +256,7 @@ class FddArena {
       shape_cache_;
   std::unordered_map<std::uint64_t, bool> equiv_cache_;
   std::unordered_map<ArenaNodeId, std::size_t> rule_cost_cache_;
+  std::unordered_map<ArenaNodeId, ArenaNodeId> canonical_cache_;
   ArenaStats stats_;
   RunContext* govern_ = nullptr;  // borrowed; null = ungoverned
   FaultPlan* faults_ = nullptr;   // borrowed; null = no injection

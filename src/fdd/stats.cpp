@@ -75,4 +75,25 @@ std::string to_string(const ArenaStats& s) {
          rate(s.equiv_cache_hits, s.equiv_cache_hits + s.equiv_cache_misses);
 }
 
+ArenaStats operator-(const ArenaStats& after, const ArenaStats& before) {
+  ArenaStats d;
+  d.unique_nodes = after.unique_nodes - before.unique_nodes;
+  d.unique_labels = after.unique_labels - before.unique_labels;
+  d.node_queries = after.node_queries - before.node_queries;
+  d.node_hits = after.node_hits - before.node_hits;
+  d.label_queries = after.label_queries - before.label_queries;
+  d.label_hits = after.label_hits - before.label_hits;
+  d.append_cache_hits = after.append_cache_hits - before.append_cache_hits;
+  d.append_cache_misses =
+      after.append_cache_misses - before.append_cache_misses;
+  d.shape_cache_hits = after.shape_cache_hits - before.shape_cache_hits;
+  d.shape_cache_misses = after.shape_cache_misses - before.shape_cache_misses;
+  d.compare_cache_hits = after.compare_cache_hits - before.compare_cache_hits;
+  d.compare_cache_misses =
+      after.compare_cache_misses - before.compare_cache_misses;
+  d.equiv_cache_hits = after.equiv_cache_hits - before.equiv_cache_hits;
+  d.equiv_cache_misses = after.equiv_cache_misses - before.equiv_cache_misses;
+  return d;
+}
+
 }  // namespace dfw

@@ -49,6 +49,10 @@ struct ArenaStats {
   friend bool operator==(const ArenaStats&, const ArenaStats&) = default;
 };
 
+/// Field-wise `after - before`: what one operation added to an arena's
+/// counters (the table sizes become the nodes and labels it created).
+ArenaStats operator-(const ArenaStats& after, const ArenaStats& before);
+
 std::string to_string(const ArenaStats& s);
 
 }  // namespace dfw

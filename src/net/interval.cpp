@@ -35,10 +35,16 @@ Interval Interval::merge(const Interval& other) const {
 }
 
 std::string Interval::to_string() const {
-  if (lo_ == hi_) {
-    return "[" + std::to_string(lo_) + "]";
+  // Appended piecewise: GCC 12's -Wrestrict misfires on
+  // "literal" + std::to_string(...) at -O2 and above.
+  std::string out = "[";
+  out += std::to_string(lo_);
+  if (lo_ != hi_) {
+    out += ", ";
+    out += std::to_string(hi_);
   }
-  return "[" + std::to_string(lo_) + ", " + std::to_string(hi_) + "]";
+  out += ']';
+  return out;
 }
 
 }  // namespace dfw

@@ -193,6 +193,55 @@ TEST(FddArena, ShapePairProducesSemiIsomorphicEquivalents) {
   }
 }
 
+TEST(FddArena, CanonicalizeIsTheCanonicalImageOfTheTree) {
+  // A shaped diagram is not reduced; its in-arena canonical image must be
+  // the id a tree round trip through from_tree_canonical lands on.
+  std::mt19937_64 rng(19);
+  for (int round = 0; round < 20; ++round) {
+    const Schema schema = test::tiny3();
+    FddArena arena(schema);
+    const ArenaNodeId a = arena.build_reduced(test::random_policy(schema, 7, rng));
+    const ArenaNodeId b = arena.build_reduced(test::random_policy(schema, 7, rng));
+    const auto [sa, sb] = arena.shape_pair(a, b);
+    EXPECT_EQ(arena.canonicalize(sa), arena.from_tree_canonical(*arena.to_tree(sa)));
+    EXPECT_EQ(arena.canonicalize(sa), a);
+    EXPECT_EQ(arena.canonicalize(sb), b);
+  }
+}
+
+TEST(FddArena, CorrectReplacesDiscrepantTerminalsInCompareOrder) {
+  std::mt19937_64 rng(23);
+  for (int round = 0; round < 20; ++round) {
+    const Schema schema = test::tiny3();
+    const Policy pa = test::random_policy(schema, 7, rng);
+    const Policy pb = test::random_policy(schema, 7, rng);
+    FddArena arena(schema);
+    std::vector<ArenaNodeId> roots = {arena.build_reduced(pa),
+                                      arena.build_reduced(pb)};
+    arena.shape_all(roots);
+    const std::vector<Discrepancy> diffs = arena.compare(roots);
+    // Agree with team b on every discrepancy: correcting a yields b.
+    std::vector<Decision> agreed;
+    for (const Discrepancy& d : diffs) {
+      agreed.push_back(d.decisions[1]);
+    }
+    const ArenaNodeId corrected = arena.correct(roots, 0, agreed);
+    EXPECT_EQ(corrected, roots[1]);
+    // Agreeing with the base changes nothing.
+    std::vector<Decision> keep;
+    for (const Discrepancy& d : diffs) {
+      keep.push_back(d.decisions[0]);
+    }
+    EXPECT_EQ(arena.correct(roots, 0, keep), roots[0]);
+    agreed.push_back(kAccept);
+    EXPECT_THROW(arena.correct(roots, 0, agreed), std::logic_error);
+    if (!diffs.empty()) {
+      keep.pop_back();
+      EXPECT_THROW(arena.correct(roots, 0, keep), std::logic_error);
+    }
+  }
+}
+
 TEST(FddArena, ValidateMatchesTreeMessages) {
   const Schema schema = test::tiny2();
   FddArena arena(schema);

@@ -300,13 +300,104 @@ TEST(GovernTest, SubmissionBreachPropagatesAsStructuredError) {
   // Submission validates by constructing the team FDD, so a hostile team
   // firewall is rejected at the session boundary — the plain entry points
   // let the structured error propagate rather than report partially.
+  // The session builds into its arena without expanding a tree, so the
+  // charge is the arena's unique nodes: about 5.2k for adversarial(64).
   RunContext ctx = RunContext::with_budgets({.max_nodes = 2000});
   WorkflowOptions options;
   options.run.context = &ctx;
   DiverseDesign session(default_decisions(), options);
-  EXPECT_THROW(session.submit("a", adversarial(32, false)), Error);
+  EXPECT_THROW(session.submit("a", adversarial(64, false)), Error);
   EXPECT_TRUE(ctx.aborted());
   EXPECT_EQ(ctx.abort_code(), ErrorCode::kNodeBudgetExceeded);
+
+  // adversarial(32) costs about 1.3k arena nodes and fits the same budget.
+  RunContext fits = RunContext::with_budgets({.max_nodes = 2000});
+  WorkflowOptions fits_options;
+  fits_options.run.context = &fits;
+  DiverseDesign fitting(default_decisions(), fits_options);
+  EXPECT_NO_THROW(fitting.submit("a", adversarial(32, false)));
+  EXPECT_FALSE(fits.aborted());
+}
+
+// Node cost of submitting `teams` to a governed session (and comparing
+// them when `compare` is set); deterministic, so a second session with
+// the same operations charges exactly the same.
+std::size_t session_node_cost(const std::vector<Policy>& teams,
+                              bool compare) {
+  RunContext probe;
+  WorkflowOptions options;
+  options.run.context = &probe;
+  DiverseDesign session(default_decisions(), options);
+  for (const Policy& p : teams) {
+    session.submit("t", p);
+  }
+  if (compare) {
+    (void)session.compare();
+  }
+  return probe.nodes_charged();
+}
+
+TEST(GovernTest, SessionCompareGovernedReturnsPartialOutcome) {
+  // The budget covers both submissions but not the shaping: the session
+  // reports a partial comparison instead of throwing. Staggered at
+  // different steps, the two teams' edges must be refined against each
+  // other.
+  const std::vector<Policy> teams = {adversarial(24, false),
+                                     adversarial(17, true)};
+  const std::size_t submit_cost = session_node_cost(teams, false);
+  ASSERT_GT(session_node_cost(teams, true), submit_cost + 50);
+
+  RunContext ctx = RunContext::with_budgets({.max_nodes = submit_cost + 50});
+  WorkflowOptions options;
+  options.run.context = &ctx;
+  DiverseDesign session(default_decisions(), options);
+  for (const Policy& p : teams) {
+    session.submit("t", p);
+  }
+  const CompareOutcome outcome = session.compare_governed();
+  EXPECT_FALSE(outcome.complete);
+  EXPECT_EQ(outcome.status, ErrorCode::kNodeBudgetExceeded);
+  EXPECT_FALSE(outcome.message.empty());
+  // The plain entry point lets the sticky breach propagate.
+  EXPECT_THROW((void)session.compare(), Error);
+}
+
+TEST(GovernTest, ResolutionBreachPropagatesAsStructuredError) {
+  // Method 1 interns the corrected diagram and its reduced image into the
+  // session arena; a budget that covers submit and compare but not those
+  // nodes breaks off the resolution with a structured error.
+  const std::vector<Policy> teams = {adversarial(6, false),
+                                     adversarial(6, true)};
+  const std::size_t compare_cost = session_node_cost(teams, true);
+
+  RunContext ctx = RunContext::with_budgets({.max_nodes = compare_cost + 1});
+  WorkflowOptions options;
+  options.run.context = &ctx;
+  DiverseDesign session(default_decisions(), options);
+  for (const Policy& p : teams) {
+    session.submit("t", p);
+  }
+  const std::vector<Discrepancy> diffs = session.compare();
+  ASSERT_GT(diffs.size(), 2u);
+  // Alternating winners make a corrected diagram neither team has.
+  ResolutionPlan plan;
+  for (std::size_t i = 0; i < diffs.size(); ++i) {
+    plan.push_back(adopt(i, diffs[i], i % 2));
+  }
+  try {
+    (void)session.resolve(plan, ResolutionMethod::kCorrectedFdd, 0);
+    FAIL() << "expected node budget breach";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kNodeBudgetExceeded);
+  }
+
+  // The same plan resolves in an ungoverned session.
+  DiverseDesign plain(default_decisions());
+  for (const Policy& p : teams) {
+    plain.submit("t", p);
+  }
+  EXPECT_NO_THROW(
+      (void)plain.resolve(plan, ResolutionMethod::kCorrectedFdd, 0));
 }
 
 // ---------------------------------------------------------------------------

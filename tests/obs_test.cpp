@@ -563,6 +563,33 @@ TEST(PipelineObsTest, WorkflowSnapshotUnifiesAllSubsystems) {
   EXPECT_EQ(v.name_counts.at("pair"), 3u);
 }
 
+// A session's arena lives from the first submit to the last resolve, so
+// the registry must see each operation's counters exactly once: after the
+// session they equal the counters of one arena that ran the same
+// operations.
+TEST(PipelineObsTest, SessionAbsorbsEachArenaOperationOnce) {
+  const Policy base = synth(60, 31);
+  Rng rng(32);
+  const Policy variant = perturb_policy(base, 15.0, rng);
+  MetricsRegistry registry;
+  WorkflowOptions options;
+  options.run.obs.metrics = &registry;
+  DiverseDesign session((DecisionSet()), options);
+  session.submit("a", base);
+  session.submit("b", variant);
+  (void)session.compare();
+
+  FddArena arena(base.schema());
+  std::vector<ArenaNodeId> roots = {arena.build_reduced(base),
+                                    arena.build_reduced(variant)};
+  arena.shape_all(roots);
+  (void)arena.compare(roots);
+  MetricsRegistry expected;
+  absorb(expected, arena.stats());
+  EXPECT_EQ(registry.snapshot().counters, expected.snapshot().counters);
+  EXPECT_GT(registry.snapshot().counters.at("fdd.arena.unique_nodes"), 0u);
+}
+
 // -- Determinism across thread counts ----------------------------------------
 
 // The work-independent counters (arena structure, governance charges) must

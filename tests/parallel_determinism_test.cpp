@@ -39,7 +39,9 @@ DiverseDesign make_session(const std::vector<Policy>& teams,
                            const WorkflowOptions& options) {
   DiverseDesign session(DecisionSet(), options);
   for (std::size_t i = 0; i < teams.size(); ++i) {
-    session.submit("t" + std::to_string(i), teams[i]);
+    std::string name = "t";
+    name += std::to_string(i);
+    session.submit(std::move(name), teams[i]);
   }
   return session;
 }

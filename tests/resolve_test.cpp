@@ -3,7 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "diverse/resolve.hpp"
+#include "diverse/workflow.hpp"
+#include "fdd/construct.hpp"
+#include "fdd/reduce.hpp"
+#include "fdd/shape.hpp"
+#include "fw/format.hpp"
+#include "gen/generate.hpp"
+#include "gen/redundancy.hpp"
+#include "synth/synth.hpp"
 #include "test_util.hpp"
 
 namespace dfw {
@@ -150,6 +161,206 @@ TEST(Resolve, RejectsUnknownBaseTeam) {
   EXPECT_THROW(resolve_via_fdd(teams, {}, 5), std::invalid_argument);
   EXPECT_THROW(resolve_via_corrections(teams, {}, 5),
                std::invalid_argument);
+}
+
+
+// ---------------------------------------------------------------------------
+// Oracle harness: a DiverseDesign session builds each team's diagram once
+// in its arena and resolves on ids. The oracle resolves on trees: build
+// and shape tree FDDs, compare them, overwrite the base team's discrepant
+// terminals in place, then reduce and generate from the corrected tree
+// (method 1) or prepend corrections and trim (method 2). No arena code
+// runs in it.
+
+std::vector<Fdd> oracle_shaped(const std::vector<Policy>& policies) {
+  ConstructOptions tree;
+  tree.use_arena = false;
+  std::vector<Fdd> fdds;
+  for (const Policy& p : policies) {
+    fdds.push_back(build_reduced_fdd(p, tree));
+    fdds.back().validate();
+  }
+  shape_all(fdds);
+  return fdds;
+}
+
+// Walks the semi-isomorphic trees in the comparison's depth-first order;
+// at each discrepant terminal overwrites `base`'s decision with the next
+// agreed one.
+void oracle_correct(const std::vector<FddNode*>& nodes, FddNode* base,
+                    const std::vector<Decision>& agreed, std::size_t& next) {
+  const FddNode* first = nodes.front();
+  if (first->is_terminal()) {
+    const bool all_equal =
+        std::all_of(nodes.begin(), nodes.end(), [&](const FddNode* n) {
+          return n->decision == first->decision;
+        });
+    if (!all_equal) {
+      ASSERT_LT(next, agreed.size()) << "correction walk out of sync";
+      base->decision = agreed[next++];
+    }
+    return;
+  }
+  for (std::size_t e = 0; e < first->edges.size(); ++e) {
+    std::vector<FddNode*> children;
+    for (FddNode* n : nodes) {
+      children.push_back(n->edges[e].target.get());
+    }
+    oracle_correct(children, base->edges[e].target.get(), agreed, next);
+  }
+}
+
+std::vector<Decision> agreed_decisions(std::size_t count,
+                                       const ResolutionPlan& plan) {
+  std::vector<Decision> agreed(count, kAccept);
+  for (const Resolution& r : plan) {
+    agreed[r.discrepancy_index] = r.agreed;
+  }
+  return agreed;
+}
+
+Policy oracle_resolve(const std::vector<Policy>& policies,
+                      const ResolutionPlan& plan, std::size_t base_team,
+                      ResolutionMethod method) {
+  std::vector<Fdd> fdds = oracle_shaped(policies);
+  const std::vector<Discrepancy> diffs = compare_fdds_many(fdds);
+  const std::vector<Decision> agreed = agreed_decisions(diffs.size(), plan);
+  if (method == ResolutionMethod::kPrependAndTrim) {
+    const Policy& base = policies[base_team];
+    std::vector<Rule> rules;
+    for (std::size_t i = 0; i < diffs.size(); ++i) {
+      if (diffs[i].decisions[base_team] != agreed[i]) {
+        rules.emplace_back(base.schema(), diffs[i].conjuncts, agreed[i]);
+      }
+    }
+    rules.insert(rules.end(), base.rules().begin(), base.rules().end());
+    return remove_redundant(Policy(base.schema(), std::move(rules)));
+  }
+  std::vector<FddNode*> roots;
+  for (Fdd& f : fdds) {
+    roots.push_back(&f.mutable_root());
+  }
+  std::size_t next = 0;
+  oracle_correct(roots, &fdds[base_team].mutable_root(), agreed, next);
+  EXPECT_EQ(next, agreed.size());
+  reduce(fdds[base_team]);
+  GenerateOptions as_given;
+  as_given.reduce_first = false;
+  return generate_policy(fdds[base_team], as_given);
+}
+
+// Redraws about a third of the decisions of `p` from the first `count`
+// decisions.
+Policy redecide(const Policy& p, Decision count, Rng& rng) {
+  std::uniform_int_distribution<Decision> pick(0, count - 1);
+  std::bernoulli_distribution redraw(1.0 / 3);
+  std::vector<Rule> rules = p.rules();
+  for (Rule& r : rules) {
+    if (redraw(rng)) {
+      r.set_decision(pick(rng));
+    }
+  }
+  return Policy(p.schema(), std::move(rules));
+}
+
+struct RandomSession {
+  std::vector<Policy> teams;
+  ResolutionPlan plan;
+};
+
+// A synth_policy base of 20-150 rules and K-1 = 1..3 perturbed teams; every
+// third seed spreads the decisions over three or four decisions, on a base
+// of at most 60 rules. Addresses are wildcarded less often than the synth
+// default: method 2's greedy redundancy trim costs about one redundancy
+// pass per removed rule, and the default's heavily overlapping rules make
+// both many times larger, too slow for the sanitizer jobs.
+std::vector<Policy> random_teams(std::uint64_t seed) {
+  Rng rng(seed);
+  const bool multi = seed % 3 == 0;
+  SynthConfig config;
+  config.num_rules = multi ? 20 + seed % 41 : 20 + (seed * 37) % 131;
+  config.sip = {10, 30, 60};
+  config.dip = {5, 60, 35};
+  Policy base = synth_policy(config, rng);
+  if (multi) {
+    base = redecide(base, 3 + static_cast<Decision>(seed % 2), rng);
+  }
+  const std::size_t k = 2 + (seed % 7) % 3;
+  std::vector<Policy> teams = {base};
+  std::uniform_real_distribution<double> percent(2.0, 12.0);
+  while (teams.size() < k) {
+    teams.push_back(perturb_policy(base, percent(rng), rng));
+  }
+  if (multi) {
+    // Perturbation flips toward accept/discard only; redraw one team so
+    // the extra decisions also differ between teams.
+    teams.back() = redecide(teams.back(), 4, rng);
+  }
+  return teams;
+}
+
+DecisionSet four_decisions() {
+  DecisionSet set;
+  set.add("accept_log");
+  set.add("discard_log");
+  return set;
+}
+
+class SessionOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(SessionOracle, CompareAndResolveMatchTheTreePath) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  const std::vector<Policy> teams = random_teams(seed);
+  const DecisionSet names = four_decisions();
+  DiverseDesign session(names);
+  for (std::size_t t = 0; t < teams.size(); ++t) {
+    session.submit("t" + std::to_string(t), teams[t]);
+  }
+
+  CompareOptions tree;
+  tree.use_arena = false;
+  const std::vector<Discrepancy> diffs = session.compare();
+  ASSERT_EQ(diffs, discrepancies_many(teams, tree)) << "seed " << seed;
+
+  Rng rng(seed + 1000);
+  std::uniform_int_distribution<std::size_t> team_pick(0, teams.size() - 1);
+  ResolutionPlan plan;
+  for (std::size_t i = 0; i < diffs.size(); ++i) {
+    plan.push_back(adopt(i, diffs[i], team_pick(rng)));
+  }
+  std::shuffle(plan.begin(), plan.end(), rng);
+  for (std::size_t base = 0; base < teams.size(); ++base) {
+    for (const ResolutionMethod method :
+         {ResolutionMethod::kCorrectedFdd, ResolutionMethod::kPrependAndTrim}) {
+      const Policy got = session.resolve(plan, method, base);
+      const Policy want = oracle_resolve(teams, plan, base, method);
+      EXPECT_EQ(format_policy(got, names), format_policy(want, names))
+          << "seed " << seed << ", K " << teams.size() << ", base " << base
+          << ", method " << static_cast<int>(method);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SessionOracle, ::testing::Range(1, 51));
+
+TEST(SessionOracleFixed, FreeFunctionsMatchTheSession) {
+  // The free entry points are one-shot sessions; they must agree with a
+  // long-lived session that compared first.
+  const std::vector<Policy> teams = random_teams(5);
+  DiverseDesign session((DecisionSet()));
+  for (std::size_t t = 0; t < teams.size(); ++t) {
+    session.submit("t" + std::to_string(t), teams[t]);
+  }
+  const ResolutionPlan plan = plan_by_majority(session.compare(), 0);
+  for (std::size_t base = 0; base < teams.size(); ++base) {
+    EXPECT_EQ(resolve_via_fdd(teams, plan, base).rules(),
+              session.resolve(plan, ResolutionMethod::kCorrectedFdd, base)
+                  .rules());
+    EXPECT_EQ(
+        resolve_via_corrections(teams, plan, base).rules(),
+        session.resolve(plan, ResolutionMethod::kPrependAndTrim, base)
+            .rules());
+  }
 }
 
 }  // namespace

@@ -39,6 +39,22 @@ TEST(Workflow, CompareNeedsTwoTeams) {
   EXPECT_THROW(session.cross_compare(), std::logic_error);
 }
 
+TEST(Workflow, SubmitAfterCompareComparesAgain) {
+  // A session keeps its comparison for resolve; a later submit must
+  // replace it, never serve the comparison of fewer teams.
+  std::mt19937_64 rng(5);
+  std::vector<Policy> teams;
+  for (int i = 0; i < 3; ++i) {
+    teams.push_back(test::random_policy(tiny3(), 5, rng));
+  }
+  DiverseDesign growing((DecisionSet()));
+  growing.submit("t0", teams[0]);
+  growing.submit("t1", teams[1]);
+  (void)growing.compare();
+  growing.submit("t2", teams[2]);
+  EXPECT_EQ(growing.compare(), discrepancies_many(teams));
+}
+
 TEST(Workflow, CrossCompareCoversAllPairs) {
   std::mt19937_64 rng(3);
   DiverseDesign session((DecisionSet()));
