@@ -3,24 +3,31 @@
 // object groups, per-site perturbation, salted duplicate/split
 // redundancy).
 //
-// Two series:
+// Three series:
 //   audit_serial  wall time of the whole serial run_fleet with library
 //                 defaults (parse -> proven simplify -> every lint pass,
 //                 redundancy included), carrying the per-fleet rule
 //                 reduction: total rules before/after simplify,
 //                 per-transform counts, proof status tally — the
 //                 paper-style effectiveness table
-//   audit         the same run_fleet at 1/2/8 executor threads over the
+//   audit_cli     the same serial run with the dfw-fleet CLI defaults
+//                 (lint pass `redundancy` off), as operators run it
+//   audit         the library-default run_fleet at 1/2/8 executor
+//                 threads over the
 //                 same fleet, with the byte-determinism of the aggregate
 //                 SARIF/JSON reports checked across thread counts (the
 //                 determinism contract at the acceptance scale of 100
 //                 devices)
 //
-// Writes BENCH_fleet.json (dfw-bench-obs-v1). --quick trims the site
-// sweep but keeps per-site geometry identical, so quick records compare
-// against the committed baseline under dfw_bench_diff --key-params=
-// sites,threads (CI gates audit_serial with --key-params=sites).
+// The serial records are the median of five trials (a fresh registry
+// each), since one shot of a few tens of milliseconds is too noisy for a
+// regression gate. Writes BENCH_fleet.json (dfw-bench-obs-v1). --quick
+// trims the site sweep but keeps per-site geometry identical, so quick
+// records compare against the committed baseline under dfw_bench_diff
+// --key-params=sites,threads (CI gates audit_serial and audit_cli with
+// --select=audit_ --key-params=sites).
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdint>
 #include <optional>
@@ -86,6 +93,30 @@ FleetTotals totals_of(const fleet::FleetReport& report) {
   return t;
 }
 
+struct Trial {
+  std::uint64_t ns = 0;
+  MetricsSnapshot metrics;
+  fleet::FleetReport report;
+};
+
+// Runs the serial audit five times, each with a fresh registry, and
+// returns the median trial by wall time.
+Trial median_serial_audit(const std::vector<fleet::FleetSource>& sources,
+                          fleet::FleetOptions options) {
+  constexpr int kTrials = 5;
+  std::vector<Trial> trials(kTrials);
+  for (Trial& trial : trials) {
+    MetricsRegistry registry;
+    options.run.obs.metrics = &registry;
+    trial.ns =
+        bench::time_ns([&] { trial.report = run_fleet(sources, options); });
+    trial.metrics = registry.snapshot();
+  }
+  std::sort(trials.begin(), trials.end(),
+            [](const Trial& a, const Trial& b) { return a.ns < b.ns; });
+  return std::move(trials[kTrials / 2]);
+}
+
 }  // namespace
 }  // namespace dfw
 
@@ -108,12 +139,8 @@ int main(int argc, char** argv) {
     const std::vector<fleet::FleetSource> sources = render_fleet(sites);
 
     // --- serial audit + simplify effectiveness (the canonical report) ---
-    fleet::FleetOptions options;
-    MetricsRegistry serial_metrics;
-    options.run.obs.metrics = &serial_metrics;
-    fleet::FleetReport serial;
-    const std::uint64_t serial_ns =
-        bench::time_ns([&] { serial = run_fleet(sources, options); });
+    const Trial serial_trial = median_serial_audit(sources, {});
+    const fleet::FleetReport& serial = serial_trial.report;
     const FleetTotals t = totals_of(serial);
     if (t.rules_after >= t.rules_before) {
       std::fprintf(stderr,
@@ -139,7 +166,17 @@ int main(int argc, char** argv) {
                 {"merged", t.merged},
                 {"findings", t.findings},
                 {"findings_distinct", t.distinct}},
-               serial_ns, serial_metrics.snapshot());
+               serial_trial.ns, serial_trial.metrics);
+
+    // --- serial audit with the CLI's pass selection ---
+    fleet::FleetOptions cli_options;
+    cli_options.lint.disabled = {"redundancy"};
+    const Trial cli_trial = median_serial_audit(sources, cli_options);
+    report.add("audit_cli",
+               {{"sites", sites},
+                {"findings", cli_trial.report.findings_total},
+                {"findings_distinct", cli_trial.report.findings_distinct}},
+               cli_trial.ns, cli_trial.metrics);
 
     // --- sharded audit + determinism across thread counts ---
     const std::string sarif = render_fleet_sarif(serial);

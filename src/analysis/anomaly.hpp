@@ -66,9 +66,9 @@ struct AnomalyOptions {
   /// its own slot and concatenated in row order, so the result is
   /// bit-identical to the serial scan at every thread count.
   /// `run.context` (borrowed, nullable): the pair scan takes amortized
-  /// cancellation/deadline checkpoints per pair; dead_rules additionally
-  /// charges every coverage-FDD node it materialises against the node
-  /// budget. A breach throws dfw::Error (from the batch join under an
+  /// cancellation/deadline checkpoints per pair; dead_rules takes one per
+  /// append visit and charges every diagram node it materialises against
+  /// the node budget. A breach throws dfw::Error (from the batch join under an
   /// executor). `run.obs` (borrowed, nullable sinks): the scans run under
   /// "anomaly_pairs" / "dead_rules" phase spans. Null sinks are free.
   RunOptions run = {};
@@ -83,12 +83,15 @@ struct AnomalyOptions {
 std::vector<Anomaly> find_anomalies(const Policy& policy,
                                     const AnomalyOptions& options = {});
 
-/// Indices of *dead* rules: rules no packet ever first-matches (fully
-/// masked by the rules above them). Exact, via one incremental Fig. 7
-/// append pass over a growing coverage FDD (never rebuilt per rule), with
-/// interleaved reduction keeping the coverage diagram near-minimal. Dead
-/// rules are a strict subset of rules flagged by shadowing/redundancy-pair
-/// anomalies.
+/// Indices (ascending) of *dead* rules: rules no packet ever
+/// first-matches (fully masked by the rules above them). Exact, via one
+/// Fig. 7 append pass over the first/second-match diagram behind
+/// redundant_rules (defined beside it in gen/redundancy.cpp), its
+/// terminals final at their first match: a rule is dead iff its append
+/// creates no fresh path, and once the diagram covers every packet the
+/// remaining rules are dead without being appended. Dead rules are a
+/// subset of redundant rules, and of rules flagged by shadowing /
+/// redundancy-pair anomalies.
 std::vector<std::size_t> dead_rules(const Policy& policy,
                                     const AnomalyOptions& options = {});
 

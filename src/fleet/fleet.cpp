@@ -259,6 +259,9 @@ FleetReport run_fleet(const std::vector<FleetSource>& sources,
     device_run.context = ctx;
     device_run.obs = obs;
 
+    // What simplify proved about the policy it returns: lint starts from
+    // it instead of recomputing it.
+    std::optional<PolicyFacts> facts;
     if (options.simplify) {
       SimplifyOptions simplify_options = options.simplify_options;
       simplify_options.run = device_run;
@@ -270,6 +273,7 @@ FleetReport run_fleet(const std::vector<FleetSource>& sources,
         return;
       }
       policy.emplace(std::move(outcome.policy));
+      facts = std::move(outcome.facts);
     } else {
       dev.simplify.rules_before = policy->size();
       dev.simplify.rules_after = policy->size();
@@ -278,6 +282,7 @@ FleetReport run_fleet(const std::vector<FleetSource>& sources,
     input.policy = &*policy;
     input.decisions = &default_decisions();
     input.source_name = dev.item.path;
+    input.facts = facts ? &*facts : nullptr;
     lint::LintOptions lint_options;
     lint_options.passes = options.lint.passes;
     lint_options.disabled = options.lint.disabled;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "analysis/anomaly.hpp"
 #include "rt/govern.hpp"
 
 namespace dfw {
@@ -10,38 +11,49 @@ namespace {
 
 // The first/second-match diagram: a full-depth partial FDD built by the
 // Fig. 7 append in rule order, whose terminals record the first matching
-// rule of their packets and whether a second rule matches them yet.
-// Removing rule i changes exactly the packets it matches first, which
-// then fall through to their second match; so i is redundant iff every
-// terminal whose first match is i gets a second match with i's decision.
-// That is decided as each second match arrives, so a terminal is final
-// (saturated) from then on and later appends skip it.
+// rule of their packets. A subtree is final (saturated) once every packet
+// below has the matches the question needs; all saturated subtrees are
+// one shared sentinel node, which later appends skip and edge splits
+// share instead of copying. Once the root saturates, every remaining
+// rule is decided without being appended.
+//
+//   dead rules       terminals saturate at their first match. Rule i is
+//                    dead iff its append creates no fresh path, i.e. no
+//                    packet reaches it unmatched.
+//   redundant rules  terminals saturate at their second match. Removing
+//                    rule i changes exactly the packets it matches first,
+//                    which then fall through to their second match; so i
+//                    is redundant iff every terminal whose first match is
+//                    i gets a second match with i's decision, decided as
+//                    each second match arrives.
 class MatchDiagram {
  public:
-  MatchDiagram(const Policy& policy, RunContext* context)
+  // A terminal saturates at its `matches`-th match: 1 decides dead rules,
+  // 2 redundant ones.
+  MatchDiagram(const Policy& policy, RunContext* context, int matches)
       : policy_(policy),
         depth_(policy.schema().field_count()),
         context_(context),
-        needed_(policy.size(), false) {
-    govern::charge_nodes(context_);
-    nodes_.emplace_back();  // the root: field 0, no edges yet
+        second_match_(matches == 2),
+        kept_(policy.size(), false) {
+    add(Node{});  // kSaturated
+    root_ = add(Node{});
+    for (std::size_t i = 0; i < policy_.size() && root_ != kSaturated;
+         ++i) {
+      root_ = append(root_, 0, i);
+    }
   }
 
-  // Indices (ascending) of the redundant rules; empty when the policy is
-  // not comprehensive.
-  std::vector<std::size_t> redundant_rules() {
-    for (std::size_t i = 0; i < policy_.size(); ++i) {
-      if (nodes_[0].saturated) {
-        break;  // every packet has two matches: later rules are all dead
-      }
-      append(0, 0, i);
-    }
-    if (!finish(0, 0)) {
+  // Indices (ascending) of the rules the diagram did not keep: the dead
+  // rules, or the redundant ones (none when the policy is not
+  // comprehensive).
+  std::vector<std::size_t> unkept() {
+    if (second_match_ && !finish(root_, 0)) {
       return {};
     }
     std::vector<std::size_t> result;
     for (std::size_t i = 0; i < policy_.size(); ++i) {
-      if (!needed_[i]) {
+      if (!kept_[i]) {
         result.push_back(i);
       }
     }
@@ -49,6 +61,8 @@ class MatchDiagram {
   }
 
  private:
+  static constexpr std::size_t kSaturated = 0;
+
   struct Edge {
     IntervalSet label;
     std::size_t target = 0;
@@ -57,93 +71,121 @@ class MatchDiagram {
     std::vector<Edge> edges;  // empty at a terminal
     IntervalSet covered;      // union of the edge labels
     std::size_t first = 0;    // terminal: the first matching rule
-    bool saturated = false;   // every packet below has a second match
   };
 
-  // Fresh decision path of `rule` from `field` down: the packets under it
-  // match no earlier rule, so `rule` is their first match.
-  std::size_t path(std::size_t rule, std::size_t field) {
+  std::size_t add(Node node) {
     govern::charge_nodes(context_);
-    Node node;
-    if (field == depth_) {
-      node.first = rule;
-    } else {
-      node.covered = policy_.rule(rule).conjunct(field);
-      node.edges.push_back({node.covered, path(rule, field + 1)});
-    }
     nodes_.push_back(std::move(node));
     return nodes_.size() - 1;
   }
 
-  // Subgraph replication for an edge split. A saturated subtree never
-  // changes again, so the copy shares it instead of replicating it.
+  bool saturated(const Node& node, std::size_t field) const {
+    return node.covered == policy_.schema().domain_set(field) &&
+           std::all_of(node.edges.begin(), node.edges.end(),
+                       [](const Edge& e) { return e.target == kSaturated; });
+  }
+
+  // Fresh decision path of `rule` from `field` down: the packets under it
+  // match no earlier rule, so `rule` is their first match.
+  std::size_t path(std::size_t rule, std::size_t field) {
+    if (field == depth_) {
+      return second_match_ ? add(Node{{}, {}, rule}) : kSaturated;
+    }
+    Node node;
+    node.covered = policy_.rule(rule).conjunct(field);
+    node.edges.push_back({node.covered, path(rule, field + 1)});
+    return saturated(node, field) ? kSaturated : add(std::move(node));
+  }
+
+  // Subgraph replication for an edge split.
   std::size_t clone(std::size_t v) {
-    if (nodes_[v].saturated) {
+    if (v == kSaturated) {
       return v;
     }
-    govern::charge_nodes(context_);
     Node copy = nodes_[v];
     for (Edge& e : copy.edges) {
       e.target = clone(e.target);
     }
-    nodes_.push_back(std::move(copy));
-    return nodes_.size() - 1;
+    return add(std::move(copy));
   }
 
-  // APPEND of Fig. 7 at node v (labeled `field`). Indices, not references:
-  // path() and clone() grow nodes_.
-  void append(std::size_t v, std::size_t field, std::size_t rule) {
+  // True iff appending `rule` at v (labeled `field`) would change the
+  // diagram: some packet of the rule below v is unmatched or, at a
+  // terminal, not yet saturated.
+  bool reaches(std::size_t v, std::size_t field, std::size_t rule) const {
     govern::checkpoint(context_);
     if (field == depth_) {
-      // Reached only unsaturated, so this is the second match.
-      Node& terminal = nodes_[v];
-      terminal.saturated = true;
-      if (policy_.rule(rule).decision() !=
-          policy_.rule(terminal.first).decision()) {
-        needed_[terminal.first] = true;
-      }
-      return;
-    }
-    const IntervalSet& s = policy_.rule(rule).conjunct(field);
-    const IntervalSet uncovered = s.subtract(nodes_[v].covered);
-    const std::size_t original_edges = nodes_[v].edges.size();
-    for (std::size_t k = 0; k < original_edges; ++k) {
-      std::size_t target = nodes_[v].edges[k].target;
-      if (nodes_[target].saturated) {
-        continue;  // later rules never decide anything below
-      }
-      IntervalSet common = nodes_[v].edges[k].label.intersect(s);
-      if (common.empty()) {
-        continue;
-      }
-      if (common != nodes_[v].edges[k].label) {
-        nodes_[v].edges[k].label = nodes_[v].edges[k].label.subtract(common);
-        target = clone(target);
-        nodes_[v].edges.push_back({std::move(common), target});
-      }
-      append(target, field + 1, rule);
-    }
-    if (!uncovered.empty()) {
-      const std::size_t fresh = path(rule, field + 1);
-      nodes_[v].covered = nodes_[v].covered.unite(uncovered);
-      nodes_[v].edges.push_back({uncovered, fresh});
-    }
-    Node& node = nodes_[v];
-    node.saturated =
-        node.covered == policy_.schema().domain_set(field) &&
-        std::all_of(node.edges.begin(), node.edges.end(),
-                    [&](const Edge& e) { return nodes_[e.target].saturated; });
-  }
-
-  // Marks the first rule of every terminal left without a second match as
-  // needed; false iff some packet matches no rule at all.
-  bool finish(std::size_t v, std::size_t field) {
-    const Node& node = nodes_[v];
-    if (node.saturated) {
       return true;
     }
+    const Node& node = nodes_[v];
+    const IntervalSet& s = policy_.rule(rule).conjunct(field);
+    if (!node.covered.contains(s)) {
+      return true;
+    }
+    return std::any_of(node.edges.begin(), node.edges.end(),
+                       [&](const Edge& e) {
+                         return e.target != kSaturated &&
+                                e.label.overlaps(s) &&
+                                reaches(e.target, field + 1, rule);
+                       });
+  }
+
+  // APPEND of Fig. 7 at the unsaturated node v (labeled `field`), in
+  // place; returns v, or kSaturated once v is. An edge the rule only
+  // partly covers is split only when the rule reaches below it, so a
+  // rule that changes nothing copies nothing. Indices, not references:
+  // add() grows nodes_.
+  std::size_t append(std::size_t v, std::size_t field, std::size_t rule) {
+    govern::checkpoint(context_);
     if (field == depth_) {
-      needed_[node.first] = true;
+      // The second match of the terminal's packets.
+      const std::size_t first = nodes_[v].first;
+      if (policy_.rule(rule).decision() != policy_.rule(first).decision()) {
+        kept_[first] = true;
+      }
+      return kSaturated;
+    }
+    const IntervalSet& s = policy_.rule(rule).conjunct(field);
+    const std::size_t original_edges = nodes_[v].edges.size();
+    for (std::size_t k = 0; k < original_edges; ++k) {
+      const std::size_t target = nodes_[v].edges[k].target;
+      if (target == kSaturated || !nodes_[v].edges[k].label.overlaps(s)) {
+        continue;
+      }
+      if (s.contains(nodes_[v].edges[k].label)) {
+        const std::size_t appended = append(target, field + 1, rule);
+        nodes_[v].edges[k].target = appended;
+        continue;
+      }
+      if (!reaches(target, field + 1, rule)) {
+        continue;
+      }
+      IntervalSet common = nodes_[v].edges[k].label.intersect(s);
+      nodes_[v].edges[k].label = nodes_[v].edges[k].label.subtract(common);
+      const std::size_t appended = append(clone(target), field + 1, rule);
+      nodes_[v].edges.push_back({std::move(common), appended});
+    }
+    if (!nodes_[v].covered.contains(s)) {
+      IntervalSet uncovered = s.subtract(nodes_[v].covered);
+      const std::size_t fresh = path(rule, field + 1);
+      nodes_[v].covered = nodes_[v].covered.unite(uncovered);
+      nodes_[v].edges.push_back({std::move(uncovered), fresh});
+      if (!second_match_) {
+        kept_[rule] = true;  // some packet first-matches the rule
+      }
+    }
+    return saturated(nodes_[v], field) ? kSaturated : v;
+  }
+
+  // Keeps the first rule of every terminal left without a second match;
+  // false iff some packet matches no rule at all.
+  bool finish(std::size_t v, std::size_t field) {
+    if (v == kSaturated) {
+      return true;
+    }
+    const Node& node = nodes_[v];
+    if (field == depth_) {
+      kept_[node.first] = true;
       return true;
     }
     if (node.covered != policy_.schema().domain_set(field)) {
@@ -157,8 +199,12 @@ class MatchDiagram {
   const Policy& policy_;
   const std::size_t depth_;
   RunContext* context_;
+  const bool second_match_;
   std::vector<Node> nodes_;
-  std::vector<bool> needed_;
+  std::size_t root_ = 0;
+  // Dead rules: the rule first-matches some packet. Redundant rules:
+  // removing the rule changes some packet's decision.
+  std::vector<bool> kept_;
 };
 
 }  // namespace
@@ -185,7 +231,13 @@ std::vector<std::size_t> redundant_rules(const Policy& policy,
   if (policy.size() < 2) {
     return {};  // the only rule of a policy is never removable
   }
-  return MatchDiagram(policy, context).redundant_rules();
+  return MatchDiagram(policy, context, 2).unkept();
+}
+
+std::vector<std::size_t> dead_rules(const Policy& policy,
+                                    const AnomalyOptions& options) {
+  PhaseSpan span(options.run.obs, "dead_rules");
+  return MatchDiagram(policy, options.run.context, 1).unkept();
 }
 
 Policy remove_redundant(const Policy& policy) {

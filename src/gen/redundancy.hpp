@@ -11,6 +11,10 @@
 // first nowhere is dead, hence redundant). Removal is greedy back to
 // front, re-deciding against the shrinking policy so the final sequence
 // has no redundant rule left (a maximal removal set).
+//
+// The same diagram, with its terminals final at their first match instead
+// of their second, decides dead rules: analysis/anomaly.hpp dead_rules is
+// defined in redundancy.cpp on this kernel.
 
 #pragma once
 

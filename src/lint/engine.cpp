@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "analysis/anomaly.hpp"
 #include "fdd/construct.hpp"
 #include "lint/passes.hpp"
+#include "simplify/simplify.hpp"
 
 namespace dfw::lint {
 
@@ -19,16 +21,31 @@ std::size_t LintReport::count(Severity severity) const {
 }
 
 PassState::PassState(const LintInput& in, const LintOptions& opts)
-    : input(in), options(opts) {}
+    : input(in), options(opts) {
+  if (in.facts != nullptr) {
+    fdd_ = in.facts->fdd ? &*in.facts->fdd : nullptr;
+    dead_ = &in.facts->dead_rules;
+  }
+}
 
 const Fdd& PassState::fdd() {
-  if (!fdd_) {
+  if (fdd_ == nullptr) {
     ConstructOptions construct;
     construct.run.context = options.run.context;
     construct.run.obs = options.run.obs;
-    fdd_.emplace(build_reduced_fdd(*input.policy, construct));
+    fdd_ = &owned_fdd_.emplace(build_reduced_fdd(*input.policy, construct));
   }
   return *fdd_;
+}
+
+const std::vector<std::size_t>& PassState::dead_rules() {
+  if (dead_ == nullptr) {
+    AnomalyOptions scan;
+    scan.run.context = options.run.context;
+    scan.run.obs = options.run.obs;
+    dead_ = &owned_dead_.emplace(dfw::dead_rules(*input.policy, scan));
+  }
+  return *dead_;
 }
 
 bool PassState::comprehensive() {

@@ -5,7 +5,8 @@
 // API.
 //
 // Passes run in a fixed order, share lazily-built state (most importantly
-// the policy's reduced FDD, built at most once per run, governed), and
+// the policy's reduced FDD, built at most once per run, governed, or taken
+// from the facts simplify_policy proved about the policy), and
 // observe the run's RunContext: a breached budget or deadline stops the
 // run at a pass boundary and the report comes back *partial, clearly
 // marked* (complete = false, the breach's code and message attached) with
@@ -29,6 +30,7 @@
 
 namespace dfw {
 class Executor;
+struct PolicyFacts;
 }  // namespace dfw
 
 namespace dfw::lint {
@@ -48,6 +50,11 @@ struct LintInput {
   /// Optional rule-index -> 1-based source line map (parallel to
   /// policy->rules(), shorter is fine); used to anchor diagnostics.
   std::vector<std::size_t> rule_lines;
+  /// Optional facts about *policy* (borrowed, nullable), as
+  /// simplify_policy returns them for the policy it hands back: the run
+  /// starts from them instead of recomputing them. The diagnostics are
+  /// the same with or without.
+  const PolicyFacts* facts = nullptr;
 };
 
 /// Per-run knobs.
@@ -82,8 +89,8 @@ struct LintReport {
 };
 
 /// Shared lazily-built per-run state handed to every pass. The reduced
-/// FDD of the policy is built (governed) on first use and reused by every
-/// later pass in the run.
+/// FDD and the dead rules of the policy are computed (governed) on first
+/// use and reused by every later pass in the run; input.facts seeds them.
 class PassState {
  public:
   PassState(const LintInput& input, const LintOptions& options);
@@ -93,6 +100,10 @@ class PassState {
   /// a breach. Never null once returned.
   const Fdd& fdd();
 
+  /// The policy's dead rules (analysis/anomaly.hpp dead_rules). Governed
+  /// like fdd().
+  const std::vector<std::size_t>& dead_rules();
+
   /// True iff the policy is comprehensive (the FDD is complete). Builds
   /// the FDD on first use.
   bool comprehensive();
@@ -101,7 +112,11 @@ class PassState {
   const LintOptions& options;
 
  private:
-  std::optional<Fdd> fdd_;
+  // Memo slots: null until computed (owned_*) or seeded from input.facts.
+  const Fdd* fdd_ = nullptr;
+  const std::vector<std::size_t>* dead_ = nullptr;
+  std::optional<Fdd> owned_fdd_;
+  std::optional<std::vector<std::size_t>> owned_dead_;
   bool checked_complete_ = false;
   bool comprehensive_ = false;
 };

@@ -225,15 +225,12 @@ void pass_coverage(PassState& state, std::vector<Diagnostic>& out) {
 }
 
 // --- pass: dead-rules ------------------------------------------------------
-// Semantic dead rules via the incremental coverage FDD: rules no packet
+// Semantic dead rules (analysis/anomaly.hpp dead_rules): rules no packet
 // ever first-matches. Strictly stronger than pairwise shadowing (a rule
 // can be killed by several earlier rules jointly).
 
 void pass_dead_rules(PassState& state, std::vector<Diagnostic>& out) {
-  AnomalyOptions scan;
-  scan.run.context = state.options.run.context;
-  scan.run.obs = state.options.run.obs;
-  for (const std::size_t i : dead_rules(*state.input.policy, scan)) {
+  for (const std::size_t i : state.dead_rules()) {
     Diagnostic d;
     d.check_id = "policy.dead-rule";
     d.severity = Severity::kError;

@@ -25,7 +25,34 @@ bool IntervalSet::contains(Value v) const {
 }
 
 bool IntervalSet::contains(const IntervalSet& other) const {
-  return other.subtract(*this).empty();
+  // Runs are maximal, so each run of `other` lies inside a single run of
+  // this set or is not contained at all.
+  std::size_t i = 0;
+  for (const Interval& iv : other.intervals_) {
+    while (i < intervals_.size() && intervals_[i].hi() < iv.lo()) {
+      ++i;
+    }
+    if (i == intervals_.size() || intervals_[i].lo() > iv.lo() ||
+        intervals_[i].hi() < iv.hi()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool IntervalSet::overlaps(const IntervalSet& other) const {
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < intervals_.size() && j < other.intervals_.size()) {
+    if (intervals_[i].hi() < other.intervals_[j].lo()) {
+      ++i;
+    } else if (other.intervals_[j].hi() < intervals_[i].lo()) {
+      ++j;
+    } else {
+      return true;
+    }
+  }
+  return false;
 }
 
 Value IntervalSet::min() const {

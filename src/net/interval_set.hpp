@@ -56,9 +56,7 @@ class IntervalSet {
   /// Set difference this \ other.
   IntervalSet subtract(const IntervalSet& other) const;
 
-  bool overlaps(const IntervalSet& other) const {
-    return !intersect(other).empty();
-  }
+  bool overlaps(const IntervalSet& other) const;
 
   friend bool operator==(const IntervalSet&, const IntervalSet&) = default;
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <exception>
 #include <iterator>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -44,13 +45,12 @@ Rule merge_pair(const Schema& schema, const Rule& a, const Rule& b,
   return Rule(schema, std::move(conjuncts), a.decision());
 }
 
-/// Removes rules no packet ever first-matches. Exact via the incremental
-/// coverage FDD behind dead_rules() — the same reachability dfw-lint's
-/// dead-rules pass reports on.
+/// Removes rules no packet ever first-matches. Exact via dead_rules() —
+/// the same reachability dfw-lint's dead-rules pass reports on.
 bool eliminate_dead(const Schema& schema, std::vector<Rule>& rules,
                     const SimplifyOptions& options, SimplifyStats& stats) {
   AnomalyOptions scan;
-  // The coverage pass is inherently serial; keep the caller's governance
+  // The dead-rule scan is inherently serial; keep the caller's governance
   // and sinks but not its executor.
   scan.run.context = options.run.context;
   scan.run.obs = options.run.obs;
@@ -181,9 +181,12 @@ bool coalesce_runs(const Schema& schema, std::vector<Rule>& rules,
 /// equality decides equivalence outright (for partial functions too). The
 /// explicit shape + compare walk is run as the reportable artifact: a
 /// proven rewrite shows zero discrepancies from the same comparison
-/// machinery the paper's cross-team pipeline uses.
+/// machinery the paper's cross-team pipeline uses. A proven rewrite
+/// leaves the simplified policy's reduced FDD, expanded from the arena, in
+/// `*reduced` (nullable).
 ProofStatus prove(const Policy& original, const Policy& simplified,
-                  RunContext* ctx, SimplifyReport& report) {
+                  RunContext* ctx, SimplifyReport& report,
+                  std::optional<Fdd>* reduced) {
   FddArena arena(original.schema());
   arena.set_context(ctx);
   const ArenaNodeId a = arena.build_reduced(original);
@@ -192,8 +195,13 @@ ProofStatus prove(const Policy& original, const Policy& simplified,
     const auto shaped = arena.shape_pair(a, b);
     report.proof_discrepancies =
         arena.compare({shaped.first, shaped.second}).size();
-    return report.proof_discrepancies == 0 ? ProofStatus::kProven
-                                           : ProofStatus::kRefuted;
+    if (report.proof_discrepancies != 0) {
+      return ProofStatus::kRefuted;
+    }
+    if (reduced != nullptr) {
+      reduced->emplace(arena.to_fdd(b));
+    }
+    return ProofStatus::kProven;
   }
   // Distinct canonical roots refute equivalence by themselves; the
   // comparison walk is attempted for witness discrepancies, but partial
@@ -244,6 +252,9 @@ SimplifyOutcome simplify_policy(const Policy& policy,
   const Schema& schema = policy.schema();
   std::vector<Rule> rules = policy.rules();
   try {
+    // A round that changes nothing leaves `rules` as it found them, so
+    // when it ran dead elimination the result has no dead rule.
+    std::optional<PolicyFacts> facts;
     for (std::size_t round = 0; round < options.max_passes; ++round) {
       bool changed = false;
       if (options.eliminate_dead) {
@@ -256,6 +267,9 @@ SimplifyOutcome simplify_policy(const Policy& policy,
         changed = coalesce_runs(schema, rules, ctx, report.stats) || changed;
       }
       if (!changed) {
+        if (options.eliminate_dead) {
+          facts.emplace();
+        }
         break;
       }
       ++report.passes;
@@ -264,15 +278,16 @@ SimplifyOutcome simplify_policy(const Policy& policy,
     Policy simplified(schema, rules);
     if (report.passes == 0) {
       // Untouched: nothing to prove, nothing to count.
-      return {std::move(simplified), report};
+      return {std::move(simplified), report, std::move(facts)};
     }
     if (options.prove) {
-      report.proof = prove(policy, simplified, ctx, report);
+      report.proof = prove(policy, simplified, ctx, report,
+                           facts ? &facts->fdd : nullptr);
       if (report.proof == ProofStatus::kRefuted) {
         // A refuted proof means a transform is unsound (an internal bug):
         // fail safe by handing back the input untouched.
         report.rules_after = report.rules_before;
-        return {policy, report};
+        return {policy, report, std::nullopt};
       }
     }
     report.rules_after = simplified.size();
@@ -283,7 +298,7 @@ SimplifyOutcome simplify_policy(const Policy& policy,
         metrics->counter(names::kSimplifyProven).add();
       }
     }
-    return {std::move(simplified), report};
+    return {std::move(simplified), report, std::move(facts)};
   } catch (const Error& e) {
     report.complete = false;
     report.status = e.code();
@@ -294,7 +309,7 @@ SimplifyOutcome simplify_policy(const Policy& policy,
     if (MetricsRegistry* metrics = options.run.obs.metrics) {
       metrics->counter(names::kSimplifyAborted).add();
     }
-    return {policy, report};
+    return {policy, report, std::nullopt};
   }
 }
 

@@ -10,7 +10,7 @@
 // mapping, including the fall-through set of non-comprehensive policies):
 //
 //   dead elimination   rules no packet ever first-matches, detected
-//                      exactly via the incremental coverage FDD
+//                      exactly on the first-match diagram
 //                      (analysis/anomaly.hpp dead_rules — the same
 //                      machinery behind dfw-lint's dead-rules pass)
 //   adjacent merge     neighbouring rules with one decision that differ
@@ -28,12 +28,20 @@
 // is never returned unproven: if the proof is refuted (an internal bug)
 // or cut short by governance, the ORIGINAL policy comes back and the
 // report says so.
+//
+// What the pass proved about the policy it returns comes back with it
+// (PolicyFacts): the fixpoint's last dead-rule scan and the proof's
+// reduced FDD, so a later analysis of the same policy (dfw-lint, the
+// fleet pipeline) starts from them instead of recomputing them.
 
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
+#include <vector>
 
+#include "fdd/fdd.hpp"
 #include "fw/policy.hpp"
 #include "rt/govern.hpp"
 #include "rt/run_options.hpp"
@@ -43,7 +51,7 @@ namespace dfw {
 /// Per-run knobs, in the library's options-struct idiom.
 struct SimplifyOptions {
   /// Shared execution knobs (rt/run_options.hpp). `run.context` governs
-  /// the whole pass: the dead-rule scan charges its coverage-FDD nodes,
+  /// the whole pass: the dead-rule scan charges its diagram nodes,
   /// the proof arena charges every interned node and label byte, and the
   /// transform scans take amortized checkpoints. A breach aborts the pass
   /// — the outcome carries the ORIGINAL policy, complete = false, and the
@@ -55,7 +63,8 @@ struct SimplifyOptions {
   RunOptions run = {};
 
   /// Transform toggles; disabling all three makes the pass an (optionally
-  /// proof-checked) identity.
+  /// proof-checked) identity. With `eliminate_dead` off the outcome
+  /// carries no facts.
   bool eliminate_dead = true;
   bool merge_adjacent = true;
   bool coalesce_runs = true;
@@ -107,12 +116,28 @@ struct SimplifyReport {
   std::string message;  ///< empty when complete; Error::what() otherwise
 };
 
+/// Facts simplify_policy established about the policy it returned, for
+/// analyses of that same policy to reuse (lint::LintInput::facts).
+struct PolicyFacts {
+  /// Indices (ascending) of the policy's dead rules, as dead_rules()
+  /// reports them. Facts exist only when the fixpoint ended on a round
+  /// whose dead elimination removed nothing, so this is empty.
+  std::vector<std::size_t> dead_rules;
+  /// The policy's reduced FDD, expanded from the proof's arena; set iff
+  /// the proof is kProven. Identical to build_reduced_fdd(policy).
+  std::optional<Fdd> fdd;
+};
+
 /// The outcome: the (possibly) simplified policy plus the report. When
 /// the report is not complete, or the proof was refuted, `policy` is the
 /// unmodified input.
 struct SimplifyOutcome {
   Policy policy;
   SimplifyReport report;
+  /// What the pass proved about `policy`. Unset when `max_passes` ran out
+  /// before the fixpoint, when the proof was refuted or aborted, and when
+  /// dead elimination is off.
+  std::optional<PolicyFacts> facts;
 };
 
 /// Simplifies `policy` (see the header comment for the transform set and

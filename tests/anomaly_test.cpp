@@ -1,8 +1,9 @@
 // Anomaly-analysis tests: the four pair classes on hand-built policies,
-// exactness of the dead-rule detector against brute force and against an
-// independent reachability-based reference, agreement between the
-// syntactic and semantic views, and determinism of the parallel pair scan
-// against the serial path.
+// exactness of the dead-rule detector against brute force, against the
+// tree coverage walk (the oracle below) and against an independent
+// reachability-based reference, agreement between the syntactic and
+// semantic views, and determinism of the parallel pair scan against the
+// serial path.
 
 #include <gtest/gtest.h>
 
@@ -10,9 +11,11 @@
 
 #include "analysis/anomaly.hpp"
 #include "fdd/construct.hpp"
+#include "fdd/reduce.hpp"
 #include "query/query.hpp"
 #include "rt/executor.hpp"
 #include "rt/govern.hpp"
+#include "synth/synth.hpp"
 #include "test_util.hpp"
 
 namespace dfw {
@@ -102,26 +105,6 @@ TEST(Anomaly, DisjointRulesProduceNoAnomalies) {
   EXPECT_TRUE(find_anomalies(p).empty());
 }
 
-TEST(Anomaly, DeadRulesMatchBruteForce) {
-  std::mt19937_64 rng(91);
-  for (int trial = 0; trial < 25; ++trial) {
-    const Policy p = test::random_policy(tiny3(), 6, rng);
-    const std::vector<std::size_t> dead = dead_rules(p);
-    // Brute force: a rule is dead iff no packet first-matches it.
-    std::vector<bool> hit(p.size(), false);
-    for (const Packet& pkt : test::all_packets(tiny3())) {
-      hit[*p.first_match(pkt)] = true;
-    }
-    std::vector<std::size_t> expected;
-    for (std::size_t i = 0; i < p.size(); ++i) {
-      if (!hit[i]) {
-        expected.push_back(i);
-      }
-    }
-    EXPECT_EQ(dead, expected) << "trial " << trial;
-  }
-}
-
 TEST(Anomaly, DeadRuleFromCombinedCoverage) {
   // Neither earlier rule alone shadows rule 3, but together they do — the
   // pairwise scan cannot see it, the semantic check must.
@@ -192,7 +175,7 @@ TEST(Anomaly, GovernedPairScanAbortsOnTinyNodeBudget) {
 // Independent dead-rule reference: give rule i a fresh decision nothing
 // else uses; i is dead iff that decision is unreachable in the rebuilt
 // diagram. Exercises a completely different code path (full FDD build +
-// reachability) than the incremental coverage walk under test.
+// reachability) than the incremental first-match diagram under test.
 std::vector<std::size_t> dead_rules_by_reachability(const Policy& p) {
   constexpr Decision kFresh = 9;
   std::vector<std::size_t> dead;
@@ -218,10 +201,11 @@ TEST(Anomaly, DeadRulesMatchReachabilityReferenceOnRandomCorpus) {
 }
 
 TEST(Anomaly, DeadRulesInterleavedReductionKeepsExactness) {
-  // A coverage diagram that outgrows the 256-node reduction threshold:
-  // staggered cubes over [0,4095]^3 followed by exact duplicates. The
-  // duplicates (and only they) are dead; the interleaved reduce() on the
-  // partial coverage FDD must not change that.
+  // Staggered cubes over [0,4095]^3 followed by exact duplicates: a
+  // diagram of many split edges, and a coverage tree that outgrows the
+  // oracle's 256-node interleaved reduce(). The duplicates (and only they)
+  // are dead; splitting, sharing saturated subtrees and skipping them must
+  // not change that.
   const Schema s({{"a", Interval(0, 4095), FieldKind::kInteger},
                   {"b", Interval(0, 4095), FieldKind::kInteger},
                   {"c", Interval(0, 4095), FieldKind::kInteger}});
@@ -251,6 +235,170 @@ TEST(Anomaly, DeadRulesInterleavedReductionKeepsExactness) {
   options.run.context = &context;
   EXPECT_EQ(dead_rules(p, options), dead);
   EXPECT_GT(context.nodes_charged(), 0u);
+}
+
+// The tree coverage walk dead_rules used before it moved onto the
+// first-match diagram, kept as the oracle: fold the rules into one
+// growing partial tree FDD (Fig. 7 appends) that, after i rules, covers
+// exactly the packets some earlier rule matches; rule i is dead iff its
+// predicate cannot escape that coverage. Reduction is sound on partial
+// FDDs, so the tree is reduced whenever it outgrows a budget.
+bool escapes_coverage(const FddNode& node, const Rule& rule) {
+  if (node.is_terminal()) {
+    return false;
+  }
+  const IntervalSet& wanted = rule.conjunct(node.field);
+  if (!wanted.subtract(node.edge_label_union()).empty()) {
+    return true;
+  }
+  for (const FddEdge& e : node.edges) {
+    if (e.label.overlaps(wanted) && escapes_coverage(*e.target, rule)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+std::vector<std::size_t> dead_rules_by_coverage_tree(const Policy& p) {
+  std::vector<std::size_t> dead;
+  Fdd coverage = build_partial_fdd(p, 1);
+  std::size_t budget = 256;
+  for (std::size_t i = 1; i < p.size(); ++i) {
+    if (!escapes_coverage(coverage.root(), p.rule(i))) {
+      dead.push_back(i);
+    }
+    append_rule(coverage, p.rule(i));
+    if (coverage.node_count() > budget) {
+      reduce(coverage);
+      budget = coverage.node_count() * 2 + 256;
+    }
+  }
+  return dead;
+}
+
+// Brute force: enumerate every packet and record its first match; a rule
+// no packet first-matches is dead.
+std::vector<std::size_t> dead_rules_by_enumeration(const Policy& p) {
+  std::vector<bool> hit(p.size(), false);
+  for (const Packet& pkt : test::all_packets(p.schema())) {
+    if (const std::optional<std::size_t> first = p.first_match(pkt)) {
+      hit[*first] = true;
+    }
+  }
+  std::vector<std::size_t> dead;
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    if (!hit[i]) {
+      dead.push_back(i);
+    }
+  }
+  return dead;
+}
+
+TEST(Anomaly, DeadRulesMatchBruteForce) {
+  // 2-10 random rules over tiny2/tiny3; every third policy draws from
+  // three decisions, and a third end without a catch-all (so some packets
+  // match nothing).
+  std::mt19937_64 rng(20261018);
+  std::size_t dead_seen = 0;
+  for (int trial = 0; trial < 2400; ++trial) {
+    const Schema s = trial % 2 == 0 ? tiny2() : tiny3();
+    std::uniform_int_distribution<std::size_t> size_pick(2, 10);
+    const std::size_t n = size_pick(rng);
+    std::uniform_int_distribution<Decision> decision_pick(
+        0, trial % 3 == 0 ? 2 : 1);
+    const bool comprehensive = trial % 3 != 1;
+    std::vector<Rule> rules;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Decision d = decision_pick(rng);
+      if (comprehensive && i + 1 == n) {
+        rules.push_back(Rule::catch_all(s, d));
+        break;
+      }
+      std::vector<IntervalSet> conjuncts;
+      for (std::size_t f = 0; f < s.field_count(); ++f) {
+        conjuncts.push_back(test::random_set(s.domain(f), rng));
+      }
+      rules.emplace_back(s, std::move(conjuncts), d);
+    }
+    const Policy p(s, std::move(rules));
+    const std::vector<std::size_t> dead = dead_rules(p);
+    ASSERT_EQ(dead, dead_rules_by_enumeration(p)) << "trial " << trial;
+    ASSERT_EQ(dead, dead_rules_by_coverage_tree(p)) << "trial " << trial;
+    dead_seen += dead.size();
+  }
+  EXPECT_GT(dead_seen, 1000u);  // the harness exercises dead rules
+}
+
+TEST(Anomaly, DeadRulesMatchCoverageTreeOnSyntheticFleets) {
+  std::size_t dead_seen = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    FleetSynthConfig config;
+    config.sites = 5;
+    config.base.num_rules = 20;
+    config.seed = seed;
+    for (const Policy& device : make_fleet(config)) {
+      const std::vector<std::size_t> dead = dead_rules(device);
+      ASSERT_EQ(dead, dead_rules_by_coverage_tree(device)) << "seed " << seed;
+      dead_seen += dead.size();
+    }
+  }
+  EXPECT_GT(dead_seen, 0u);
+}
+
+TEST(Anomaly, DeadRulesStopOnceCoverageSaturates) {
+  // A leading catch-all covers every packet: its path saturates into the
+  // shared sentinel, the root saturates with it, and the rules after it
+  // are all dead without a node of their own.
+  std::mt19937_64 rng(3);
+  const Schema s = tiny3();
+  std::vector<Rule> rules{Rule::catch_all(s, kAccept)};
+  const Policy tail = test::random_policy(s, 40, rng);
+  rules.insert(rules.end(), tail.rules().begin(), tail.rules().end());
+  const Policy p(s, std::move(rules));
+  Budgets budgets;
+  budgets.max_nodes = 1000000;
+  RunContext context = RunContext::with_budgets(budgets);
+  AnomalyOptions options;
+  options.run.context = &context;
+  std::vector<std::size_t> expected;
+  for (std::size_t i = 1; i < p.size(); ++i) {
+    expected.push_back(i);
+  }
+  EXPECT_EQ(dead_rules(p, options), expected);
+  EXPECT_LE(context.nodes_charged(), 2u);  // the root and the sentinel
+}
+
+TEST(Anomaly, DeadRulesCopyNothingForMaskedRules) {
+  // Staggered cubes, then a smaller cube inside each: every inner cube
+  // cuts across edges the outer cubes split, but reaches no uncovered
+  // packet, so it is dead and splits (copies) nothing. The diagram is the
+  // one without the inner cubes.
+  const Schema s({{"a", Interval(0, 4095), FieldKind::kInteger},
+                  {"b", Interval(0, 4095), FieldKind::kInteger},
+                  {"c", Interval(0, 4095), FieldKind::kInteger}});
+  std::vector<Rule> cubes;
+  for (std::size_t i = 0; i < 8; ++i) {
+    const IntervalSet span(Interval(i * 64, i * 64 + 2048));
+    cubes.emplace_back(s, std::vector<IntervalSet>{span, span, span},
+                       i % 2 == 0 ? kAccept : kDiscard);
+  }
+  std::vector<Rule> masked = cubes;
+  for (std::size_t i = 0; i < 8; ++i) {
+    const IntervalSet inner(Interval(i * 64 + 10, i * 64 + 1000));
+    masked.emplace_back(s, std::vector<IntervalSet>{inner, inner, inner},
+                        i % 2 == 0 ? kDiscard : kAccept);
+  }
+  const auto nodes_charged = [](const Policy& p) {
+    RunContext context;
+    AnomalyOptions options;
+    options.run.context = &context;
+    (void)dead_rules(p, options);
+    return context.nodes_charged();
+  };
+  const Policy outer(s, cubes);
+  const Policy with_inner(s, masked);
+  EXPECT_EQ(dead_rules(with_inner).size(), cubes.size());
+  EXPECT_EQ(nodes_charged(with_inner), nodes_charged(outer));
 }
 
 TEST(Anomaly, KindNames) {

@@ -2,8 +2,10 @@
 // per-device statuses (including the global-budget partial semantics),
 // cross-device fingerprint dedup, pairwise/N-way divergence, and the
 // determinism contract: for a run that completes, the text/JSON/SARIF
-// reports are byte-identical at every thread count. The CLI driver is
-// exercised in-process, generator mode included.
+// reports are byte-identical at every thread count. The facts simplify
+// hands lint must not change a diagnostic, and must spare lint the
+// analyses simplify already ran. The CLI driver is exercised in-process,
+// generator mode included.
 
 #include "fleet/fleet.hpp"
 
@@ -15,9 +17,14 @@
 #include <string>
 #include <vector>
 
+#include "adapters/cisco.hpp"
+#include "adapters/iptables.hpp"
 #include "fleet/cli.hpp"
 #include "fw/format.hpp"
+#include "fw/parser.hpp"
+#include "lint/render.hpp"
 #include "lint/sarif.hpp"
+#include "obs/trace.hpp"
 #include "rt/executor.hpp"
 #include "synth/synth.hpp"
 
@@ -304,6 +311,129 @@ TEST(FleetGovern, GlobalBudgetExhaustionDegradesToPartialStatuses) {
   const std::string sarif = render_fleet_sarif(report);
   EXPECT_TRUE(lint::validate_sarif(sarif).ok);
   EXPECT_NE(sarif.find("\"executionSuccessful\":false"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Facts handoff: run_fleet lints each simplified policy starting from what
+// simplify proved; a lint of the same policy from scratch must agree.
+
+/// The corpus manifest's devices, loaded relative to the manifest.
+std::vector<FleetSource> corpus_sources() {
+  const std::filesystem::path manifest =
+      std::filesystem::path(DFW_CORPUS_DIR) / "fleet/valid_basic.manifest";
+  std::ifstream in(manifest, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  const std::optional<std::vector<FleetItem>> items =
+      parse_fleet_manifest(text.str(), nullptr);
+  EXPECT_TRUE(items.has_value());
+  std::vector<FleetSource> sources;
+  for (const FleetItem& item : items.value_or(std::vector<FleetItem>{})) {
+    std::ifstream device(manifest.parent_path() / item.path,
+                         std::ios::binary);
+    std::ostringstream body;
+    body << device.rdbuf();
+    sources.push_back(FleetSource{item, body.str()});
+  }
+  return sources;
+}
+
+/// One device through parse, simplify and a facts-free lint, rendered as
+/// lint JSON with the fleet report's diagnostics alongside.
+void expect_diagnostics_match_plain_lint(const FleetSource& source,
+                                         const DeviceReport& dev,
+                                         const FleetOptions& options) {
+  lint::LintInput input;
+  std::optional<Policy> parsed;
+  switch (source.item.format) {
+    case DeviceFormat::kIptables:
+      parsed.emplace(parse_iptables_save(source.text, source.item.chain,
+                                         &input.adapter_notes));
+      break;
+    case DeviceFormat::kIp6tables:
+      parsed.emplace(parse_ip6tables_save(source.text, source.item.chain,
+                                          &input.adapter_notes));
+      break;
+    case DeviceFormat::kCisco:
+      parsed.emplace(parse_cisco_acl(source.text, source.item.acl,
+                                     &input.adapter_notes));
+      break;
+    case DeviceFormat::kNative:
+      parsed.emplace(parse_policy(five_tuple_schema(), default_decisions(),
+                                  source.text));
+      break;
+  }
+  const SimplifyOutcome simplified = simplify_policy(*parsed);
+  ASSERT_TRUE(simplified.facts.has_value()) << source.item.path;
+  input.policy = &simplified.policy;
+  input.decisions = &default_decisions();
+  input.source_name = source.item.path;
+  const lint::LintReport plain =
+      lint::LintEngine().run(input, options.lint);
+  lint::LintReport fleet = plain;
+  fleet.diagnostics = dev.diagnostics;
+  EXPECT_EQ(lint::render_json(input, fleet), lint::render_json(input, plain))
+      << source.item.path;
+}
+
+TEST(FleetFacts, DiagnosticsMatchALintWithoutFacts) {
+  std::vector<std::vector<FleetSource>> fleets{corpus_sources()};
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    fleets.push_back(synth_sources(5, 20 + 10 * seed, seed));
+  }
+  FleetOptions library_defaults;
+  FleetOptions cli_defaults;
+  cli_defaults.lint.disabled = {"redundancy"};
+  for (const FleetOptions* options : {&library_defaults, &cli_defaults}) {
+    for (const std::vector<FleetSource>& sources : fleets) {
+      const FleetReport report = run_fleet(sources, *options);
+      ASSERT_EQ(report.devices.size(), sources.size());
+      for (std::size_t i = 0; i < sources.size(); ++i) {
+        ASSERT_TRUE(report.devices[i].status == DeviceStatus::kOk ||
+                    report.devices[i].status == DeviceStatus::kFindings)
+            << sources[i].item.path;
+        expect_diagnostics_match_plain_lint(sources[i], report.devices[i],
+                                            *options);
+      }
+    }
+  }
+}
+
+TEST(FleetFacts, LintSkipsWhatSimplifyProved) {
+  // One traced device: every simplify round runs one dead-rule scan, and
+  // lint, handed the facts, runs neither a scan nor a diagram build.
+  const std::vector<FleetSource> sources = synth_sources(1, 40, 5);
+  Tracer tracer;
+  FleetOptions options;
+  options.run.obs.tracer = &tracer;
+  const FleetReport report = run_fleet(sources, options);
+  ASSERT_EQ(report.devices.size(), 1u);
+  const SimplifyReport& simplify = report.devices[0].simplify;
+  ASSERT_EQ(simplify.proof, ProofStatus::kProven);
+  const TraceValidation traced =
+      validate_chrome_trace(tracer.chrome_trace_json());
+  ASSERT_TRUE(traced.ok) << traced.error;
+  // The fixpoint's rounds: those that changed the policy, plus the last.
+  EXPECT_EQ(traced.name_counts.at("dead_rules"), simplify.passes + 1);
+  EXPECT_EQ(traced.name_counts.count("build_reduced_fdd"), 0u);
+  EXPECT_EQ(traced.name_counts.at("dead-rules"), 1u);  // the lint pass
+
+  // Without the facts, the same lint scans and builds once each.
+  const Policy policy = parse_policy(five_tuple_schema(),
+                                     default_decisions(), sources[0].text);
+  const SimplifyOutcome simplified = simplify_policy(policy);
+  Tracer plain_tracer;
+  lint::LintInput input;
+  input.policy = &simplified.policy;
+  input.decisions = &default_decisions();
+  lint::LintOptions lint_options;
+  lint_options.run.obs.tracer = &plain_tracer;
+  (void)lint::LintEngine().run(input, lint_options);
+  const TraceValidation plain =
+      validate_chrome_trace(plain_tracer.chrome_trace_json());
+  ASSERT_TRUE(plain.ok) << plain.error;
+  EXPECT_EQ(plain.name_counts.at("dead_rules"), 1u);
+  EXPECT_EQ(plain.name_counts.at("build_reduced_fdd"), 1u);
 }
 
 // ---------------------------------------------------------------------------

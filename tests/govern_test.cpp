@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/anomaly.hpp"
 #include "diverse/workflow.hpp"
 #include "fdd/compare.hpp"
 #include "fdd/construct.hpp"
@@ -421,6 +422,36 @@ TEST(GovernTest, RedundancyKernelHonoursBudgetAndCancellation) {
   // An idle context is charged but changes nothing.
   RunContext idle;
   EXPECT_EQ(redundant_rules(p, &idle), redundant_rules(p));
+  EXPECT_GT(idle.nodes_charged(), 64u);
+}
+
+TEST(GovernTest, DeadRulesKernelHonoursBudgetAndCancellation) {
+  // dead_rules runs on the same kernel with terminals saturated at their
+  // first match: the same charges, checkpoints and breach semantics.
+  const Policy p = adversarial(12, false);
+  AnomalyOptions options;
+  RunContext ctx = RunContext::with_budgets({.max_nodes = 64});
+  options.run.context = &ctx;
+  EXPECT_THROW(dead_rules(p, options), Error);
+  EXPECT_EQ(ctx.abort_code(), ErrorCode::kNodeBudgetExceeded);
+
+  // Cancellation is observed from the first append on, also when the
+  // whole diagram is one rule's path.
+  for (const Policy& q : {p, constant_policy(kAccept)}) {
+    CancelSource source;
+    source.cancel();
+    RunContext::Config config;
+    config.cancel = source.token();
+    RunContext cancelled(config);
+    options.run.context = &cancelled;
+    EXPECT_THROW(dead_rules(q, options), Error);
+    EXPECT_EQ(cancelled.abort_code(), ErrorCode::kCancelled);
+  }
+
+  // An idle context is charged but changes nothing.
+  RunContext idle;
+  options.run.context = &idle;
+  EXPECT_EQ(dead_rules(p, options), dead_rules(p));
   EXPECT_GT(idle.nodes_charged(), 64u);
 }
 

@@ -3,7 +3,8 @@
 // randomized harness checks soundness by brute force on tiny schemas and
 // by canonical-FDD identity on the real corpus and on synthetic fleets;
 // governance tests pin the fail-safe contract (a budget breach hands back
-// the ORIGINAL policy, marked).
+// the ORIGINAL policy, marked). The facts the pass returns must describe
+// the policy it returns, and be absent whenever they were not proved.
 
 #include "simplify/simplify.hpp"
 
@@ -19,9 +20,13 @@
 
 #include "adapters/cisco.hpp"
 #include "adapters/iptables.hpp"
+#include "analysis/anomaly.hpp"
 #include "fdd/arena.hpp"
 #include "fdd/compare.hpp"
+#include "fdd/construct.hpp"
+#include "fdd/serialize.hpp"
 #include "fw/parser.hpp"
+#include "lint/engine.hpp"
 #include "obs/metrics.hpp"
 #include "synth/synth.hpp"
 #include "test_util.hpp"
@@ -318,6 +323,116 @@ TEST(SimplifyRandom, SyntheticFleetSimplifiesSoundWithMeasurableReduction) {
 }
 
 // ---------------------------------------------------------------------------
+// Facts: what the pass proved about the policy it returns.
+
+/// Facts, when present, agree with recomputing them on the returned
+/// policy: its dead rules, and (proven runs only) its reduced FDD.
+void expect_facts_describe(const SimplifyOutcome& out) {
+  ASSERT_TRUE(out.facts.has_value());
+  EXPECT_EQ(out.facts->dead_rules, dead_rules(out.policy));
+  ASSERT_EQ(out.facts->fdd.has_value(),
+            out.report.proof == ProofStatus::kProven);
+  if (out.facts->fdd) {
+    EXPECT_EQ(serialize_fdd(*out.facts->fdd),
+              serialize_fdd(build_reduced_fdd(out.policy)));
+  }
+}
+
+TEST(SimplifyFacts, DescribeTheReturnedPolicy) {
+  std::mt19937_64 rng(2026);
+  for (const Schema& s : {tiny2(), tiny3()}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      expect_facts_describe(simplify_policy(random_policy(s, 2 + trial % 10,
+                                                          rng)));
+    }
+  }
+  FleetSynthConfig config;
+  config.sites = 8;
+  config.base.num_rules = 30;
+  for (const Policy& p : make_fleet(config)) {
+    const SimplifyOutcome out = simplify_policy(p);
+    ASSERT_EQ(out.report.proof, ProofStatus::kProven);
+    expect_facts_describe(out);
+  }
+  // Untouched, or proof skipped: the dead rules are known, the FDD is not.
+  const Schema s = tiny2();
+  const Policy minimal(s, {make_rule(s, {IntervalSet(Interval(0, 3)),
+                                         IntervalSet(Interval(0, 7))},
+                                     kAccept),
+                           Rule::catch_all(s, kDiscard)});
+  const SimplifyOutcome untouched = simplify_policy(minimal);
+  ASSERT_EQ(untouched.report.passes, 0u);
+  expect_facts_describe(untouched);
+  SimplifyOptions unproven;
+  unproven.prove = false;
+  expect_facts_describe(simplify_policy(random_policy(s, 8, rng), unproven));
+}
+
+/// A policy whose first round's run coalescing creates a dead rule: r0 and
+/// r2 merge into x 0-3, y 0-3, which together with the leading discard
+/// covers r1 (x 1-2) completely. Only a second round removes it.
+Policy coalesce_kills_a_rule() {
+  const Schema s = tiny2();
+  return Policy(s, {make_rule(s, {IntervalSet(Interval(0, 7)),
+                                  IntervalSet(Interval(4, 7))},
+                              kDiscard),
+                    make_rule(s, {IntervalSet(Interval(0, 1)),
+                                  IntervalSet(Interval(0, 3))},
+                              kAccept),
+                    make_rule(s, {IntervalSet(Interval(1, 2)),
+                                  IntervalSet(Interval(0, 7))},
+                              kAccept),
+                    make_rule(s, {IntervalSet(Interval(2, 3)),
+                                  IntervalSet(Interval(0, 3))},
+                              kAccept),
+                    Rule::catch_all(s, kDiscard)});
+}
+
+TEST(SimplifyFacts, AbsentWhenMaxPassesStopsBeforeTheFixpoint) {
+  const Policy p = coalesce_kills_a_rule();
+  EXPECT_TRUE(dead_rules(p).empty());
+  SimplifyOptions one_round;
+  one_round.max_passes = 1;
+  const SimplifyOutcome cut = simplify_policy(p, one_round);
+  ASSERT_EQ(cut.report.proof, ProofStatus::kProven);
+  ASSERT_EQ(cut.report.stats.run_merged, 1u);
+  const std::vector<std::size_t> dead = dead_rules(cut.policy);
+  ASSERT_EQ(dead, std::vector<std::size_t>{2});
+  EXPECT_FALSE(cut.facts.has_value());
+
+  // Lint handed whatever the pass returned still reports the dead rule.
+  lint::LintInput input;
+  input.policy = &cut.policy;
+  input.decisions = &default_decisions();
+  input.facts = cut.facts ? &*cut.facts : nullptr;
+  lint::LintOptions options;
+  options.passes = {"dead-rules"};
+  const lint::LintReport report = lint::LintEngine().run(input, options);
+  ASSERT_EQ(report.diagnostics.size(), 1u);
+  EXPECT_EQ(report.diagnostics[0].check_id, "policy.dead-rule");
+  EXPECT_EQ(report.diagnostics[0].rule, 2u);
+
+  // Left to its fixpoint the pass removes the rule and says so.
+  const SimplifyOutcome full = simplify_policy(p);
+  EXPECT_GE(full.report.stats.dead_eliminated, 1u);
+  expect_facts_describe(full);
+  EXPECT_TRUE(full.facts->dead_rules.empty());
+
+  SimplifyOptions no_rounds;
+  no_rounds.max_passes = 0;
+  EXPECT_FALSE(simplify_policy(p, no_rounds).facts.has_value());
+}
+
+TEST(SimplifyFacts, AbsentWithoutDeadElimination) {
+  SimplifyOptions options;
+  options.eliminate_dead = false;
+  const SimplifyOutcome out =
+      simplify_policy(coalesce_kills_a_rule(), options);
+  ASSERT_EQ(out.report.proof, ProofStatus::kProven);
+  EXPECT_FALSE(out.facts.has_value());
+}
+
+// ---------------------------------------------------------------------------
 // make_fleet contract
 
 TEST(FleetSynth, SitePoliciesAreIndependentOfFleetSize) {
@@ -371,7 +486,8 @@ TEST(FleetSynth, RejectsBadGeometry) {
 // Governance: the fail-safe contract.
 
 TEST(SimplifyGovern, BudgetBreachReturnsTheOriginalMarked) {
-  // A policy big enough that the coverage FDD blows a tiny node budget.
+  // A policy big enough that the dead-rule diagram blows a tiny node
+  // budget.
   FleetSynthConfig config;
   config.sites = 1;
   config.base.num_rules = 120;
@@ -387,6 +503,7 @@ TEST(SimplifyGovern, BudgetBreachReturnsTheOriginalMarked) {
   EXPECT_NE(out.report.status, ErrorCode::kOk);
   EXPECT_FALSE(out.report.message.empty());
   EXPECT_EQ(out.report.proof, ProofStatus::kAborted);
+  EXPECT_FALSE(out.facts.has_value());
   // Fail safe: the original comes back byte-for-byte.
   EXPECT_EQ(out.report.rules_after, out.report.rules_before);
   ASSERT_EQ(out.policy.size(), p.size());
