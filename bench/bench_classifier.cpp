@@ -1,19 +1,15 @@
-// Classification-backend shoot-out (library extension, not a paper
-// figure): lookup latency and batch throughput of every execution form —
-// linear first-match scan, pointer-walking the reduced FDD, the bit-level
-// BDD baseline, and the three compiled backends (flat_slab, prefix_trie,
-// bit_parallel) — swept across policy size, batch length, and executor
-// thread count. Compile cost per backend is reported separately as the
-// one-time charge it is.
+// Classification-backend shoot-out (library extension, not a paper figure):
+// lookup latency and batch throughput of every execution form — linear
+// first-match scan, pointer-walking the reduced FDD, the bit-level BDD
+// baseline, and the two compiled backends (flat_slab, prefix_trie) — swept
+// across policy size, batch length, and executor thread count. Compile cost
+// per backend is reported separately as the one-time charge it is.
 //
 // Expected shape: the linear scan degrades with the rule count and the
 // BDD baseline pays one node walk per *bit*; the compiled backends stay
-// near-constant in the rule count (depth <= d). Among them, flat_slab
-// wins tiny batches, while prefix_trie (fewer indexed loads on IPv4-heavy
-// nodes) and bit_parallel (structure-of-arrays staging, 64 candidate
-// paths per AND) pull ahead as slabs grow and batches lengthen — on a
-// loaded 1-CPU CI runner the crossover may shift; the JSON records are
-// the ground truth.
+// near-constant in the rule count (depth <= d). Of the two, prefix_trie
+// (fewer indexed loads on IPv4-heavy nodes) has measured faster than
+// flat_slab at every swept point; the JSON records are the ground truth.
 //
 // Writes BENCH_classifier.json (dfw-bench-obs-v1): per-backend
 // "compile.<backend>" records with the phase.classifier.compile.*_ns
@@ -33,7 +29,6 @@
 #include "engine/classifier.hpp"
 #include "fdd/construct.hpp"
 #include "rt/executor.hpp"
-#include "rt/govern.hpp"
 #include "synth/synth.hpp"
 
 namespace dfw {
@@ -42,7 +37,6 @@ namespace {
 constexpr ClassifierBackendKind kBackends[] = {
     ClassifierBackendKind::kFlatSlab,
     ClassifierBackendKind::kPrefixTrie,
-    ClassifierBackendKind::kBitParallel,
 };
 
 std::uint64_t classify_pool_batched(const Classifier& c,
@@ -206,17 +200,9 @@ int main(int argc, char** argv) {
       CompileOptions options;
       options.backend = kind;
       options.run.obs.metrics = &compile_registry;
-      std::optional<Classifier> compiled;
-      double compile_ms = 0;
-      try {
-        const auto t0 = Clock::now();
-        compiled.emplace(Classifier::compile(fdd, options));
-        compile_ms = ms_between(t0, Clock::now());
-      } catch (const dfw::Error&) {
-        std::printf("%8zu %14s %6s %8s %14s %12s\n", n, to_string(kind),
-                    "-", "-", "skipped", "path-cap");
-        continue;
-      }
+      const auto t0 = Clock::now();
+      const Classifier compiled = Classifier::compile(fdd, options);
+      const double compile_ms = ms_between(t0, Clock::now());
       report.add(std::string("compile.") + to_string(kind), {{"rules", n}},
                  static_cast<std::uint64_t>(compile_ms * 1e6),
                  compile_registry.snapshot());
@@ -235,7 +221,7 @@ int main(int argc, char** argv) {
           std::uint64_t sum = 0;
           const std::uint64_t ns = time_ns([&] {
             sum = classify_pool_batched(
-                *compiled, pool, batch,
+                compiled, pool, batch,
                 pool_executor ? &*pool_executor : nullptr, &registry, out);
           });
           if (sum != sum_expected) {

@@ -13,17 +13,16 @@
 //   audit_cli     the same serial run with the dfw-fleet CLI defaults
 //                 (lint pass `redundancy` off), as operators run it
 //   audit         the library-default run_fleet at 1/2/8 executor
-//                 threads over the
-//                 same fleet, with the byte-determinism of the aggregate
-//                 SARIF/JSON reports checked across thread counts (the
-//                 determinism contract at the acceptance scale of 100
-//                 devices)
+//                 threads over the same fleet, with the byte-determinism
+//                 of the aggregate SARIF/JSON reports checked across
+//                 thread counts (the determinism contract at the
+//                 acceptance scale of 100 devices)
 //
-// The serial records are the median of five trials (a fresh registry
-// each), since one shot of a few tens of milliseconds is too noisy for a
-// regression gate. Writes BENCH_fleet.json (dfw-bench-obs-v1). --quick
-// trims the site sweep but keeps per-site geometry identical, so quick
-// records compare against the committed baseline under dfw_bench_diff
+// Every record is the median of five trials (a fresh registry each), since
+// one shot of a few tens of milliseconds is too noisy to compare. CI gates
+// only the serial records. Writes BENCH_fleet.json (dfw-bench-obs-v1).
+// --quick trims the site sweep but keeps per-site geometry identical, so
+// quick records compare against the committed baseline under dfw_bench_diff
 // --key-params=sites,threads (CI gates audit_serial and audit_cli with
 // --select=audit_ --key-params=sites).
 
@@ -99,12 +98,13 @@ struct Trial {
   fleet::FleetReport report;
 };
 
-// Runs the serial audit five times, each with a fresh registry, and
-// returns the median trial by wall time.
-Trial median_serial_audit(const std::vector<fleet::FleetSource>& sources,
-                          fleet::FleetOptions options) {
+// Runs the audit five times on `executor` (null = serial), each with a
+// fresh registry, and returns the median trial by wall time.
+Trial median_audit(const std::vector<fleet::FleetSource>& sources,
+                   fleet::FleetOptions options, Executor* executor = nullptr) {
   constexpr int kTrials = 5;
   std::vector<Trial> trials(kTrials);
+  options.run.executor = executor;
   for (Trial& trial : trials) {
     MetricsRegistry registry;
     options.run.obs.metrics = &registry;
@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
     const std::vector<fleet::FleetSource> sources = render_fleet(sites);
 
     // --- serial audit + simplify effectiveness (the canonical report) ---
-    const Trial serial_trial = median_serial_audit(sources, {});
+    const Trial serial_trial = median_audit(sources, {});
     const fleet::FleetReport& serial = serial_trial.report;
     const FleetTotals t = totals_of(serial);
     if (t.rules_after >= t.rules_before) {
@@ -171,7 +171,7 @@ int main(int argc, char** argv) {
     // --- serial audit with the CLI's pass selection ---
     fleet::FleetOptions cli_options;
     cli_options.lint.disabled = {"redundancy"};
-    const Trial cli_trial = median_serial_audit(sources, cli_options);
+    const Trial cli_trial = median_audit(sources, cli_options);
     report.add("audit_cli",
                {{"sites", sites},
                 {"findings", cli_trial.report.findings_total},
@@ -183,14 +183,9 @@ int main(int argc, char** argv) {
     const std::string json = render_fleet_json(serial);
     for (const std::size_t threads : {1u, 2u, 8u}) {
       Executor executor(threads);
-      fleet::FleetOptions sharded;
-      MetricsRegistry metrics;
-      sharded.run.executor = &executor;
-      sharded.run.obs.metrics = &metrics;
-      fleet::FleetReport run;
-      const std::uint64_t ns =
-          bench::time_ns([&] { run = run_fleet(sources, sharded); });
-      if (render_fleet_sarif(run) != sarif || render_fleet_json(run) != json) {
+      const Trial sharded = median_audit(sources, {}, &executor);
+      if (render_fleet_sarif(sharded.report) != sarif ||
+          render_fleet_json(sharded.report) != json) {
         std::fprintf(stderr,
                      "bench_fleet: report not deterministic at %zu sites, "
                      "%zu threads\n",
@@ -201,7 +196,7 @@ int main(int argc, char** argv) {
                  {{"sites", sites},
                   {"threads", threads},
                   {"deterministic", 1}},
-                 ns, metrics.snapshot());
+                 sharded.ns, sharded.metrics);
     }
   }
 

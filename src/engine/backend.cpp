@@ -10,8 +10,6 @@ const char* to_string(ClassifierBackendKind kind) {
       return "flat_slab";
     case ClassifierBackendKind::kPrefixTrie:
       return "prefix_trie";
-    case ClassifierBackendKind::kBitParallel:
-      return "bit_parallel";
   }
   return "flat_slab";
 }
@@ -24,9 +22,6 @@ std::optional<ClassifierBackendKind> parse_backend_kind(
   if (name == "prefix_trie") {
     return ClassifierBackendKind::kPrefixTrie;
   }
-  if (name == "bit_parallel") {
-    return ClassifierBackendKind::kBitParallel;
-  }
   return std::nullopt;
 }
 
@@ -36,8 +31,6 @@ const char* compile_phase_name(ClassifierBackendKind kind) {
       return names::kClassifierCompileFlatSlab;
     case ClassifierBackendKind::kPrefixTrie:
       return names::kClassifierCompilePrefixTrie;
-    case ClassifierBackendKind::kBitParallel:
-      return names::kClassifierCompileBitParallel;
   }
   return names::kClassifierCompileFlatSlab;
 }
@@ -48,28 +41,15 @@ const char* serve_backend_counter_name(ClassifierBackendKind kind) {
       return names::kServeBackendFlatSlab;
     case ClassifierBackendKind::kPrefixTrie:
       return names::kServeBackendPrefixTrie;
-    case ClassifierBackendKind::kBitParallel:
-      return names::kServeBackendBitParallel;
   }
   return names::kServeBackendFlatSlab;
 }
 
-void ClassifierBackend::classify_range(const Packet* packets,
-                                       std::size_t count,
-                                       Decision* out) const {
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = classify_one(packets[i].data());
-  }
-}
-
 std::shared_ptr<const ClassifierBackend> compile_backend(
-    ClassifierBackendKind kind, const Fdd& fdd,
-    std::size_t bit_parallel_max_paths) {
+    ClassifierBackendKind kind, const Fdd& fdd) {
   switch (kind) {
     case ClassifierBackendKind::kPrefixTrie:
       return compile_prefix_trie_backend(fdd);
-    case ClassifierBackendKind::kBitParallel:
-      return compile_bit_parallel_backend(fdd, bit_parallel_max_paths);
     case ClassifierBackendKind::kFlatSlab:
       break;
   }

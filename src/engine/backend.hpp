@@ -4,13 +4,11 @@
 // lookup cost model: the flat-slab form (d branchless binary searches over
 // contiguous slabs), a prefix-trie form (multi-bit stride tables for IPv4
 // fields, in the spirit of LPM forwarding tables, reusing net/prefix.*'s
-// geometry), and a bit-parallel form (per-field interval tables mapping a
-// value to a bitset of candidate decision paths, AND-reduced across
-// fields, after Hazelhurst's bit-vector analyses of access lists). The
-// Classifier facade (engine/classifier.hpp) compiles a policy into one of
-// these backends, selected by CompileOptions::backend; every backend is
-// required to produce byte-identical decisions — the cross-backend
-// equivalence harness in tests/classifier_backend_test.cpp is the gate.
+// geometry). The Classifier facade (engine/classifier.hpp) compiles a
+// policy into one of these backends, selected by CompileOptions::backend;
+// every backend is required to produce byte-identical decisions — the
+// cross-backend equivalence harness in tests/classifier_backend_test.cpp
+// is the gate.
 //
 // Backends are immutable after compilation and internally pointer-free
 // (index-linked flat vectors), so lookups take no locks and a compiled
@@ -34,12 +32,11 @@ class Fdd;
 
 /// The compiled layouts a Classifier can execute.
 enum class ClassifierBackendKind {
-  kFlatSlab,     ///< sorted (upper, next) slabs, branchless binary search
-  kPrefixTrie,   ///< stride-8 trie tables on IPv4 fields, slabs elsewhere
-  kBitParallel,  ///< per-field interval tables of path bitsets, AND-reduced
+  kFlatSlab,    ///< sorted (upper, next) slabs, branchless binary search
+  kPrefixTrie,  ///< stride-8 trie tables on IPv4 fields, slabs elsewhere
 };
 
-/// Stable lowercase name ("flat_slab", "prefix_trie", "bit_parallel") —
+/// Stable lowercase name ("flat_slab", "prefix_trie") —
 /// the spelling of dfw_serve's --backend flag and the serve.backend.*
 /// metric suffixes.
 const char* to_string(ClassifierBackendKind kind);
@@ -67,38 +64,27 @@ class ClassifierBackend {
   /// Classifier facade checks arity).
   virtual Decision classify_one(const Value* packet) const = 0;
 
-  /// Decisions for `count` packets into `out`. The default implementation
-  /// loops classify_one; backends with a profitable batch layout (the
-  /// bit-parallel backend's structure-of-arrays staging) override it.
-  virtual void classify_range(const Packet* packets, std::size_t count,
-                              Decision* out) const;
-
-  /// Compiled interior nodes (flat-slab/prefix-trie) or decision paths
-  /// (bit-parallel) — a backend-specific size gauge, not a shared unit.
+  /// Compiled interior nodes — a backend-specific size gauge, not a
+  /// shared unit.
   virtual std::size_t node_count() const = 0;
-  /// Slab entries, trie+slab entries, or interval-table rows.
+  /// Slab entries, or trie+slab entries.
   virtual std::size_t slab_count() const = 0;
 };
 
 /// Per-backend compile factories. Each validates completeness via the
 /// facade's prior fdd.validate() contract and never keeps a reference to
-/// the FDD. Capacity breaches are structured failures, not raw
-/// exceptions: compile_bit_parallel_backend throws
-/// dfw::Error(ErrorCode::kCapacityExceeded) when the diagram has more
-/// than `max_paths` decision paths (the bitset width and table memory
-/// scale with the path count), and the slab layout throws the same code
-/// past its 31-bit node index space — so callers can catch the code and
-/// degrade to another backend instead of crashing (the serve plane does).
+/// the FDD. A capacity breach is a structured failure, not a raw
+/// exception: the slab layout throws
+/// dfw::Error(ErrorCode::kCapacityExceeded) past its 31-bit node index
+/// space, so callers can catch the code (the serve plane fails the swap
+/// and keeps its last-good version).
 std::shared_ptr<const ClassifierBackend> compile_flat_slab_backend(
     const Fdd& fdd);
 std::shared_ptr<const ClassifierBackend> compile_prefix_trie_backend(
     const Fdd& fdd);
-std::shared_ptr<const ClassifierBackend> compile_bit_parallel_backend(
-    const Fdd& fdd, std::size_t max_paths);
 
 /// Dispatches on `kind` to the factories above.
 std::shared_ptr<const ClassifierBackend> compile_backend(
-    ClassifierBackendKind kind, const Fdd& fdd,
-    std::size_t bit_parallel_max_paths);
+    ClassifierBackendKind kind, const Fdd& fdd);
 
 }  // namespace dfw

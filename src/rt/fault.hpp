@@ -79,7 +79,7 @@ struct FaultSpec {
   double probability = 0.0;
   /// The structured error a fire throws. kFaultInjected is the transient
   /// class serve's retry loop heals; use other codes to mimic specific
-  /// failures (e.g. kCapacityExceeded to force backend degradation).
+  /// failures (e.g. kCapacityExceeded to mimic a compile over a size cap).
   ErrorCode code = ErrorCode::kFaultInjected;
   /// Appended to the thrown error's message.
   std::string message;

@@ -31,7 +31,7 @@ constexpr const char* kUsage =
     "  --max-inflight=N  refuse batches past N in flight (default 0 =\n"
     "                    unbounded); refusals exit-code 1\n"
     "  --backend=NAME    compiled layout for every version: flat_slab\n"
-    "                    (default), prefix_trie, or bit_parallel; all are\n"
+    "                    (default) or prefix_trie; both are\n"
     "                    byte-identical in output (docs/classifier.md)\n"
     "  --swap-retries=N  retry a transiently failed swap up to N times\n"
     "                    under exponential backoff (default 0)\n"
@@ -192,7 +192,7 @@ int run_serve_cli(const std::vector<std::string>& args, std::istream& in,
       const auto kind = parse_backend_kind(*b);
       if (!kind.has_value()) {
         err << "dfw_serve: unknown backend '" << *b
-            << "' (flat_slab, prefix_trie, bit_parallel)\n";
+            << "' (flat_slab, prefix_trie)\n";
         return cli::kExitUsage;
       }
       backend = *kind;

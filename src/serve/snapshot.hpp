@@ -11,7 +11,7 @@
 //
 //   dfws 1                      header: magic + version
 //   sequence <n>                served version (>= 1)
-//   backend <name>              flat_slab | prefix_trie | bit_parallel
+//   backend <name>              flat_slab | prefix_trie
 //   policy <bytes>              byte count of the policy text that follows
 //   <policy text>
 //   fdd <bytes>                 byte count of the dfdd v2 text that follows

@@ -4,15 +4,16 @@
 //   * a null fault plan is byte-identical to an unfaulted build — the
 //     fault plane costs nothing when disarmed;
 //   * every injected fault travels a structured unwind path: swaps
-//     retry transient faults, degrade on capacity breaches, and never
-//     disturb the served version on failure (last-good);
+//     retry transient faults, fail fast on deterministic ones (a
+//     capacity breach), and never disturb the served version on failure
+//     (last-good);
 //   * under seeded fault storms — hundreds of injected faults across
 //     several seeds — every classified batch stays byte-identical to a
 //     serial replay against the version it pinned, versions are neither
 //     torn nor leaked, and the same seed reproduces the same metrics;
 //   * snapshots round-trip byte-identically on every backend, and a
-//     truncated or corrupt snapshot is refused (exit 2 at the CLI),
-//     never served.
+//     truncated or corrupt snapshot, or one naming an unknown backend,
+//     is refused (exit 2 at the CLI), never served.
 //
 // Set DFW_CHAOS_ARTIFACTS=<dir> to dump each storm seed's fault
 // schedule and metrics snapshot (the CI chaos-smoke job uploads them).
@@ -29,6 +30,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -352,54 +354,27 @@ TEST(SelfHealingSwap, PublishFaultReleasesTheCompiledVersionEagerly) {
   EXPECT_LE(stats.limbo_peak, 1u);
 }
 
-TEST(SelfHealingSwap, CapacityBreachDegradesToFlatSlab) {
-  // Boot a single-path policy under a path cap of 1, then swap in a
-  // multi-path policy: the bit-parallel compile breaches the cap and the
-  // swap self-heals onto flat_slab (no cap) instead of failing.
-  const Schema schema = five_tuple_schema();
-  const Policy trivial(schema, {Rule::catch_all(schema, kAccept)});
-  MetricsRegistry registry;
-  ServeOptions options = chaos_options(nullptr, &registry);
-  options.backend = ClassifierBackendKind::kBitParallel;
-  options.bit_parallel_max_paths = 1;
-  ServeCore core(trivial, options);
-  EXPECT_EQ(core.health().backend, ClassifierBackendKind::kBitParallel);
+TEST(SelfHealingSwap, CapacityBreachFailsWithoutRetryAndKeepsLastGood) {
+  // A capacity breach is deterministic: the swap fails at once, retry
+  // budget untouched, and the boot version keeps serving.
+  FaultSpec spec;
+  spec.site = fault::sites::kSwapCompile;
+  spec.fire_on = 1;
+  spec.code = ErrorCode::kCapacityExceeded;
+  FaultPlan plan(1, {spec});
+  ServeOptions options = chaos_options(&plan, nullptr);
+  options.backend = ClassifierBackendKind::kPrefixTrie;
+  options.swap_max_retries = 3;
+  ServeCore core(make_policy(15, 53), options);
 
-  const Policy next = make_policy(20, 51);
-  const auto result = core.swap(next);
-  ASSERT_TRUE(result.ok()) << result.error().what();
-
-  const ServeStats stats = core.stats();
-  EXPECT_EQ(stats.swaps, 1u);
-  EXPECT_EQ(stats.swap_degraded, 1u);
-  EXPECT_EQ(stats.swap_failed, 0u);
-  EXPECT_EQ(core.health().backend, ClassifierBackendKind::kFlatSlab);
-  EXPECT_EQ(registry.counter(names::kServeSwapDegraded).value(), 1u);
-
-  // Degradation trades layout, never output.
-  Rng rng(52);
-  const std::vector<Packet> probes = synth_trace(next, 200, rng);
-  EXPECT_EQ(core.classify_batch(probes).decisions,
-            serial_replay(next, probes));
-}
-
-TEST(SelfHealingSwap, CapacityBreachFailsWhenDegradationIsDisabled) {
-  const Schema schema = five_tuple_schema();
-  const Policy trivial(schema, {Rule::catch_all(schema, kAccept)});
-  ServeOptions options = chaos_options(nullptr, nullptr);
-  options.backend = ClassifierBackendKind::kBitParallel;
-  options.bit_parallel_max_paths = 1;
-  options.degrade_on_capacity = false;
-  ServeCore core(trivial, options);
-
-  const auto result = core.swap(make_policy(20, 53));
+  const auto result = core.swap(make_policy(20, 54));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code(), ErrorCode::kCapacityExceeded);
   const ServeStats stats = core.stats();
-  EXPECT_EQ(stats.swap_degraded, 0u);
+  EXPECT_EQ(stats.swap_retries, 0u);
   EXPECT_EQ(stats.swap_failed, 1u);
   EXPECT_EQ(core.current_sequence(), 1u) << "last-good";
-  EXPECT_EQ(core.health().backend, ClassifierBackendKind::kBitParallel);
+  EXPECT_EQ(core.health().backend, ClassifierBackendKind::kPrefixTrie);
 }
 
 // -- Seeded chaos storms ------------------------------------------------------
@@ -640,8 +615,26 @@ TEST(ChaosStorm, ConcurrentReadersSurviveAFaultedSwapStorm) {
 constexpr ClassifierBackendKind kAllBackends[] = {
     ClassifierBackendKind::kFlatSlab,
     ClassifierBackendKind::kPrefixTrie,
-    ClassifierBackendKind::kBitParallel,
 };
+
+/// The name of a removed backend: both outside-input boundaries (the
+/// --backend flag and a snapshot's backend line) must refuse it.
+constexpr std::string_view kRetiredBackend = "bit_parallel";
+
+/// A saved flat_slab snapshot whose backend line names kRetiredBackend.
+/// decode() reads the backend before the checksum, so the unsealed edit
+/// is rejected by name, not by the checksum.
+std::string with_retired_backend(std::string text) {
+  const std::string_view from = "backend flat_slab\n";
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos);
+  if (at != std::string::npos) {
+    std::string line = "backend ";
+    line.append(kRetiredBackend).append("\n");
+    text.replace(at, from.size(), line);
+  }
+  return text;
+}
 
 TEST(Snapshot, RoundTripsByteIdenticallyOnEveryBackend) {
   for (const ClassifierBackendKind backend : kAllBackends) {
@@ -705,6 +698,16 @@ TEST(Snapshot, DecodeRejectsTruncationAndCorruption) {
     EXPECT_TRUE(e.code() == ErrorCode::kInvalidInput ||
                 e.code() == ErrorCode::kParseError)
         << to_string(e.code());
+  }
+
+  try {
+    serve::snapshot::decode(schema, decisions, with_retired_backend(text));
+    FAIL() << "retired backend decoded";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kParseError) << to_string(e.code());
+    EXPECT_NE(std::string(e.what()).find("unknown backend"),
+              std::string::npos)
+        << e.what();
   }
 
   EXPECT_THROW(serve::snapshot::decode(schema, decisions, "dfws 9\n"),
@@ -820,6 +823,21 @@ TEST_F(ServeCliSnapshot, CorruptSnapshotIsRefusedWithExitTwo) {
   flipped[text.size() / 2] ^= 0x01;
   std::ofstream(snapshot_, std::ios::binary) << flipped;
   EXPECT_EQ(run({"--snapshot=" + snapshot_, policy_a_}, "quit\n"), 2);
+
+  // A backend this build does not have: same contract.
+  std::ofstream(snapshot_, std::ios::binary) << with_retired_backend(text);
+  err.clear();
+  EXPECT_EQ(run({"--snapshot=" + snapshot_, policy_a_}, "quit\n", nullptr,
+                &err),
+            2);
+  EXPECT_NE(err.find("unknown backend"), std::string::npos) << err;
+
+  // The same name on the command line is a usage error, also exit 2.
+  std::string flag = "--backend=";
+  flag.append(kRetiredBackend);
+  err.clear();
+  EXPECT_EQ(run({flag, policy_a_}, "quit\n", nullptr, &err), 2);
+  EXPECT_NE(err.find("(flat_slab, prefix_trie)"), std::string::npos) << err;
 
   // Arbitrary garbage: same contract.
   std::ofstream(snapshot_, std::ios::binary) << "not a snapshot at all\n";

@@ -1,5 +1,5 @@
-// Cross-backend equivalence harness: every compiled classifier layout
-// (flat-slab, prefix-trie, bit-parallel) must produce byte-identical
+// Cross-backend equivalence harness: both compiled classifier layouts
+// (flat-slab, prefix-trie) must produce byte-identical
 // decisions — to each other, to the interpreted FDD walk, to the policy's
 // first-match evaluation, and (on the accept/discard fragment) to the BDD
 // baseline. Probes mix exhaustive small universes, random five-tuple
@@ -18,7 +18,6 @@
 #include "fdd/construct.hpp"
 #include "obs/names.hpp"
 #include "rt/executor.hpp"
-#include "rt/govern.hpp"
 #include "synth/synth.hpp"
 #include "test_util.hpp"
 
@@ -31,7 +30,6 @@ using test::tiny3;
 constexpr ClassifierBackendKind kAllBackends[] = {
     ClassifierBackendKind::kFlatSlab,
     ClassifierBackendKind::kPrefixTrie,
-    ClassifierBackendKind::kBitParallel,
 };
 
 Classifier compile_with(const Fdd& fdd, ClassifierBackendKind kind) {
@@ -231,22 +229,6 @@ TEST(ClassifierBackend, ClassifyIntoValidatesOutputSize) {
   const std::vector<Packet> packets = test::all_packets(tiny2());
   std::vector<Decision> short_out(packets.size() - 1);
   EXPECT_THROW(c.classify_into(packets, short_out), std::invalid_argument);
-}
-
-TEST(ClassifierBackend, BitParallelPathCapThrowsStructuredCapacityError) {
-  std::mt19937_64 rng(716);
-  const Policy p = test::random_policy(tiny3(), 6, rng);
-  CompileOptions options;
-  options.backend = ClassifierBackendKind::kBitParallel;
-  options.bit_parallel_max_paths = 1;
-  // A structured code, not a raw std::length_error: callers (the serve
-  // plane's degradation path) dispatch on it.
-  try {
-    Classifier::compile(p, options);
-    FAIL() << "path cap did not throw";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kCapacityExceeded);
-  }
 }
 
 TEST(ClassifierBackend, CompilePhaseAndBatchMetricsRecorded) {
