@@ -24,7 +24,11 @@ class FlatSlabBackend final : public ClassifierBackend {
     return ClassifierBackendKind::kFlatSlab;
   }
 
-  Decision classify_one(const Value* packet) const override {
+  // Aligned to a cache line so the loop's placement, and with it the
+  // lookup rate, does not shift when unrelated code grows or shrinks
+  // (docs/classifier.md, "Code alignment").
+  [[gnu::aligned(64)]] Decision classify_one(
+      const Value* packet) const override {
     std::uint32_t current = layout_.root;
     while ((current & kDecisionBit) == 0) {
       const SlabNode& node = layout_.nodes[current];

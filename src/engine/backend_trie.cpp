@@ -59,7 +59,9 @@ class PrefixTrieBackend final : public ClassifierBackend {
     return ClassifierBackendKind::kPrefixTrie;
   }
 
-  Decision classify_one(const Value* packet) const override {
+  // Cache-line aligned like the flat-slab lookup (docs/classifier.md).
+  [[gnu::aligned(64)]] Decision classify_one(
+      const Value* packet) const override {
     std::uint32_t current = layout_.root;
     while ((current & kDecisionBit) == 0) {
       const SlabNode& node = layout_.nodes[current];

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -49,43 +50,57 @@ bool wildcard(const Schema& schema, const Rule& rule, std::size_t field) {
 
 FddArena::FddArena(Schema schema) : schema_(std::move(schema)) {}
 
+void FddArena::UniqueTable::insert(std::size_t slot, std::uint64_t hash,
+                                   std::uint32_t id) {
+  slots_[slot] = {hash, id};
+  if (++size_ * 2 <= slots_.size()) {
+    return;
+  }
+  std::vector<Slot> old(std::size_t{1} << ++bits_);
+  old.swap(slots_);
+  const std::size_t mask = slots_.size() - 1;
+  for (const Slot& s : old) {
+    if (s.id != kEmpty) {
+      std::size_t i = home(s.hash);
+      while (slots_[i].id != kEmpty) {
+        i = (i + 1) & mask;
+      }
+      slots_[i] = s;
+    }
+  }
+}
+
 ArenaLabelId FddArena::intern(const IntervalSet& label) {
   ++stats_.label_queries;
   const std::uint64_t h = hash_label(label);
-  std::vector<ArenaLabelId>& bucket = label_buckets_[h];
-  for (const ArenaLabelId id : bucket) {
-    if (labels_[id] == label) {
-      ++stats_.label_hits;
-      return id;
-    }
+  const std::size_t slot = label_table_.find(
+      h, [&](ArenaLabelId id) { return labels_[id] == label; });
+  if (const ArenaLabelId id = label_table_.id(slot);
+      id != UniqueTable::kEmpty) {
+    ++stats_.label_hits;
+    return id;
   }
   // Charge before materialising: a breach leaves the tables untouched.
   govern::charge_label_bytes(
       govern_, label.intervals().size() * sizeof(Interval) + sizeof(label));
   const ArenaLabelId id = static_cast<ArenaLabelId>(labels_.size());
   labels_.push_back(label);
-  bucket.push_back(id);
+  label_table_.insert(slot, h, id);
   stats_.unique_labels = labels_.size();
   return id;
 }
 
 bool FddArena::record_equals(const NodeRecord& r, std::uint32_t field,
                              Decision decision,
-                             const std::vector<ArenaEdge>& edges) const {
-  if (r.field != field || r.decision != decision ||
-      r.edge_count != edges.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    if (!(edge_pool_[r.edge_begin + i] == edges[i])) {
-      return false;
-    }
-  }
-  return true;
+                             std::span<const ArenaEdge> edges) const {
+  return r.field == field && r.decision == decision &&
+         r.edge_count == edges.size() &&
+         std::equal(edges.begin(), edges.end(),
+                    edge_pool_.begin() + r.edge_begin);
 }
 
 ArenaNodeId FddArena::intern_node(std::uint32_t field, Decision decision,
-                                  std::vector<ArenaEdge> edges) {
+                                  std::span<const ArenaEdge> edges) {
   ++stats_.node_queries;
   std::uint64_t h = mix(0x13198a2e03707344ull, field);
   h = mix(h, decision);
@@ -93,12 +108,13 @@ ArenaNodeId FddArena::intern_node(std::uint32_t field, Decision decision,
     h = mix(h, e.label);
     h = mix(h, e.target);
   }
-  std::vector<ArenaNodeId>& bucket = node_buckets_[h];
-  for (const ArenaNodeId id : bucket) {
-    if (record_equals(nodes_[id], field, decision, edges)) {
-      ++stats_.node_hits;
-      return id;
-    }
+  const std::size_t slot = node_table_.find(h, [&](ArenaNodeId id) {
+    return record_equals(nodes_[id], field, decision, edges);
+  });
+  if (const ArenaNodeId id = node_table_.id(slot);
+      id != UniqueTable::kEmpty) {
+    ++stats_.node_hits;
+    return id;
   }
   // Node creation is the arena's unit of memory growth and of forward
   // progress: charge the node budget and take the amortized cancellation/
@@ -116,7 +132,7 @@ ArenaNodeId FddArena::intern_node(std::uint32_t field, Decision decision,
   record.edge_count = static_cast<std::uint32_t>(edges.size());
   edge_pool_.insert(edge_pool_.end(), edges.begin(), edges.end());
   nodes_.push_back(record);
-  bucket.push_back(id);
+  node_table_.insert(slot, h, id);
   stats_.unique_nodes = nodes_.size();
   return id;
 }
@@ -127,6 +143,11 @@ ArenaNodeId FddArena::terminal(Decision d) {
 
 ArenaNodeId FddArena::internal(std::size_t field,
                                std::vector<ArenaEdge> edges) {
+  return internal_run(field, edges);
+}
+
+ArenaNodeId FddArena::internal_run(std::size_t field,
+                                   std::span<ArenaEdge> edges) {
   if (field >= schema_.field_count()) {
     throw std::invalid_argument("FddArena::internal: unknown field index");
   }
@@ -137,12 +158,16 @@ ArenaNodeId FddArena::internal(std::size_t field,
             [this](const ArenaEdge& a, const ArenaEdge& b) {
               return labels_[a.label].min() < labels_[b.label].min();
             });
-  return intern_node(static_cast<std::uint32_t>(field), kAccept,
-                     std::move(edges));
+  return intern_node(static_cast<std::uint32_t>(field), kAccept, edges);
 }
 
 ArenaNodeId FddArena::canonical(std::size_t field,
                                 std::vector<ArenaEdge> edges) {
+  return canonical_run(field, edges);
+}
+
+ArenaNodeId FddArena::canonical_run(std::size_t field,
+                                    std::span<ArenaEdge> edges) {
   // Sibling merge: children are canonical, so id equality is semantic
   // equality, and edges pointing at the same child unite their labels.
   bool any_shared = false;
@@ -155,30 +180,38 @@ ArenaNodeId FddArena::canonical(std::size_t field,
     }
   }
   if (any_shared) {
-    std::vector<ArenaNodeId> targets;
-    std::vector<IntervalSet> merged;
-    for (const ArenaEdge& e : edges) {
-      const auto it = std::find(targets.begin(), targets.end(), e.target);
-      if (it == targets.end()) {
-        targets.push_back(e.target);
-        merged.push_back(labels_[e.label]);
-      } else {
-        const std::size_t k =
-            static_cast<std::size_t>(it - targets.begin());
-        merged[k] = merged[k].unite(labels_[e.label]);
+    // In order of first appearance, each target keeps one edge, labelled
+    // with the union of its edges' labels (re-interned even when alone, so
+    // the label-table counters do not depend on how the merge is done).
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+      const ArenaNodeId target = edges[i].target;
+      if (target == kNoNode) {
+        continue;  // folded into an earlier edge
       }
+      std::optional<IntervalSet> merged;
+      for (std::size_t j = i + 1; j < edges.size(); ++j) {
+        if (edges[j].target == target) {
+          if (!merged) {
+            merged = labels_[edges[i].label];
+          }
+          for (const Interval& iv : labels_[edges[j].label].intervals()) {
+            merged->add(iv);
+          }
+          edges[j].target = kNoNode;
+        }
+      }
+      edges[kept++] = {intern(merged ? *merged : labels_[edges[i].label]),
+                       target};
     }
-    edges.clear();
-    for (std::size_t k = 0; k < targets.size(); ++k) {
-      edges.push_back({intern(merged[k]), targets[k]});
-    }
+    edges = edges.first(kept);
   }
   // Splice: a single edge spanning the whole domain decides nothing.
   if (edges.size() == 1 &&
       labels_[edges[0].label] == schema_.domain_set(field)) {
     return edges[0].target;
   }
-  return internal(field, std::move(edges));
+  return internal_run(field, edges);
 }
 
 std::size_t FddArena::reachable_node_count(ArenaNodeId root) const {
@@ -289,10 +322,14 @@ Fdd FddArena::to_fdd(ArenaNodeId root) const {
 namespace {
 
 /// Per-rule state for one append pass: the memo makes appending the same
-/// rule to a shared subdiagram an O(1) lookup, and the path cache builds
-/// the rule's decision path once per suffix instead of once per branch.
+/// rule to a shared subdiagram an O(1) lookup, the path cache builds the
+/// rule's decision path once per suffix instead of once per branch, and
+/// the per-field wildcard flags and off-conjunct sets are computed once
+/// per rule instead of once per visit.
 struct AppendCtx {
   const Rule& rule;
+  std::vector<char> wild;                               // per-field wildcard
+  std::vector<IntervalSet> outside;                     // domain \ conjunct
   std::unordered_map<std::uint64_t, ArenaNodeId> memo;  // (node, field) keys
   std::vector<ArenaNodeId> path;                        // per-field suffix
 };
@@ -303,8 +340,19 @@ ArenaNodeId FddArena::append_rule(ArenaNodeId root, const Rule& rule) {
   if (rule.conjuncts().size() != schema_.field_count()) {
     throw std::invalid_argument("append_rule: rule arity mismatch");
   }
-  AppendCtx ctx{rule, {}, std::vector<ArenaNodeId>(
-                              schema_.field_count() + 1, kNoNode)};
+  const std::size_t d = schema_.field_count();
+  AppendCtx ctx{rule, std::vector<char>(d), std::vector<IntervalSet>(d), {},
+                std::vector<ArenaNodeId>(d + 1, kNoNode)};
+  for (std::size_t f = 0; f < d; ++f) {
+    ctx.wild[f] = wildcard(schema_, rule, f);
+    if (!ctx.wild[f]) {
+      ctx.outside[f] = schema_.domain_set(f).subtract(rule.conjunct(f));
+    }
+  }
+  // An append unwound by a breach leaves its frames' entries behind; each
+  // frame reads only its own suffix, so this just reclaims them.
+  edge_stack_.clear();
+  covered_runs_.clear();
 
   // Decision path for conjuncts[field..d-1] -> decision, wildcards skipped
   // (the canonical form would splice them out anyway).
@@ -313,13 +361,14 @@ ArenaNodeId FddArena::append_rule(ArenaNodeId root, const Rule& rule) {
       return ctx.path[f];
     }
     ArenaNodeId result;
-    if (f == schema_.field_count()) {
+    if (f == d) {
       result = terminal(rule.decision());
-    } else if (wildcard(schema_, rule, f)) {
+    } else if (ctx.wild[f]) {
       result = self(self, f + 1);
     } else {
       const ArenaNodeId child = self(self, f + 1);
-      result = canonical(f, {{intern(rule.conjunct(f)), child}});
+      ArenaEdge run[] = {{intern(rule.conjunct(f)), child}};
+      result = canonical_run(f, run);
     }
     ctx.path[f] = result;
     return result;
@@ -338,10 +387,9 @@ ArenaNodeId FddArena::append_rule(ArenaNodeId root, const Rule& rule) {
     }
     ++stats_.append_cache_misses;
     govern::checkpoint(govern_);
-    const std::size_t rank =
-        is_terminal(v) ? schema_.field_count() : field(v);
+    const std::size_t rank = is_terminal(v) ? d : field(v);
     std::size_t g = from;
-    while (g < rank && wildcard(schema_, rule, g)) {
+    while (g < rank && ctx.wild[g]) {
       ++g;
     }
     ArenaNodeId result;
@@ -351,44 +399,70 @@ ArenaNodeId FddArena::append_rule(ArenaNodeId root, const Rule& rule) {
       // split against the conjunct; the off-conjunct half keeps `v` by
       // reference.
       const ArenaNodeId tail = self(self, v, g + 1);
-      const IntervalSet& s = rule.conjunct(g);
-      const IntervalSet outside = schema_.domain_set(g).subtract(s);
-      result = canonical(
-          g, {{intern(s), tail}, {intern(outside), v}});
+      const ArenaLabelId inside = intern(rule.conjunct(g));
+      ArenaEdge run[] = {{inside, tail}, {intern(ctx.outside[g]), v}};
+      result = canonical_run(g, run);
     } else if (is_terminal(v)) {
       // A packet reaching a terminal was decided by an earlier (higher
       // priority) rule; the appended rule never applies there.
       result = v;
     } else {
+      // The new edge run is built on top of edge_stack_, and the runs of
+      // the labels S overlaps on top of covered_runs_; recursive visits
+      // push above both and pop back before returning. The node record is
+      // immutable, but the recursion grows (and may move) edge_pool_ and
+      // labels_, so both are re-read by index, never held across a call.
       const std::size_t f = field(v);
       const IntervalSet& s = rule.conjunct(f);
-      const std::span<const ArenaEdge> view = edges(v);
-      const std::vector<ArenaEdge> old(view.begin(), view.end());
-      IntervalSet covered;
-      for (const ArenaEdge& e : old) {
-        covered = covered.unite(labels_[e.label]);
-      }
-      const IntervalSet uncovered = s.subtract(covered);
-      std::vector<ArenaEdge> out;
-      out.reserve(old.size() + 2);
-      for (const ArenaEdge& e : old) {
-        const IntervalSet lab = labels_[e.label];
-        const IntervalSet common = lab.intersect(s);
-        if (common.empty()) {
-          out.push_back(e);  // case (1): untouched branch, shared by id
-        } else if (common == lab) {
+      const Value s_lo = s.intervals().front().lo();
+      const Value s_hi = s.intervals().back().hi();
+      const NodeRecord node = nodes_[v];
+      const std::size_t edge_base = edge_stack_.size();
+      const std::size_t runs_base = covered_runs_.size();
+      for (std::uint32_t i = 0; i < node.edge_count; ++i) {
+        const ArenaEdge e = edge_pool_[node.edge_begin + i];
+        const IntervalSet& lab = labels_[e.label];
+        // The bounds test settles most disjoint edges without a sweep.
+        if (lab.empty() || lab.intervals().back().hi() < s_lo ||
+            lab.intervals().front().lo() > s_hi || !lab.overlaps(s)) {
+          edge_stack_.push_back(e);  // case (1): untouched, shared by id
+          continue;
+        }
+        covered_runs_.insert(covered_runs_.end(), lab.intervals().begin(),
+                             lab.intervals().end());
+        if (s.contains(lab)) {
           // case (2): edge fully inside S — recurse.
-          out.push_back({e.label, self(self, e.target, f + 1)});
+          const ArenaNodeId child = self(self, e.target, f + 1);
+          edge_stack_.push_back({e.label, child});
         } else {
           // case (3): split; the outside half shares the old subdiagram.
-          out.push_back({intern(lab.subtract(common)), e.target});
-          out.push_back({intern(common), self(self, e.target, f + 1)});
+          const IntervalSet common = lab.intersect(s);
+          const ArenaLabelId outside = intern(lab.subtract(s));
+          edge_stack_.push_back({outside, e.target});
+          const ArenaLabelId inside = intern(common);
+          const ArenaNodeId child = self(self, e.target, f + 1);
+          edge_stack_.push_back({inside, child});
         }
       }
+      // The part of S no edge covers gets the rule's own path. The node's
+      // labels are disjoint, so their runs merge by lo() into one sorted
+      // list and a single sweep subtracts them all.
+      const std::span<Interval> covered =
+          std::span(covered_runs_).subspan(runs_base);
+      std::sort(covered.begin(), covered.end(),
+                [](const Interval& a, const Interval& b) {
+                  return a.lo() < b.lo();
+                });
+      const IntervalSet uncovered = s.subtract_runs(covered);
+      covered_runs_.erase(covered_runs_.begin() + runs_base,
+                          covered_runs_.end());
       if (!uncovered.empty()) {
-        out.push_back({intern(uncovered), build_path(build_path, f + 1)});
+        const ArenaLabelId rest = intern(uncovered);
+        const ArenaNodeId tail = build_path(build_path, f + 1);
+        edge_stack_.push_back({rest, tail});
       }
-      result = canonical(f, std::move(out));
+      result = canonical_run(f, std::span(edge_stack_).subspan(edge_base));
+      edge_stack_.resize(edge_base);
     }
     ctx.memo.emplace(key, result);
     return result;

@@ -235,21 +235,74 @@ class FddArena {
     std::uint32_t edge_count;
   };
 
+  /// Open-addressing unique table: a power-of-two array of (hash, id)
+  /// slots probed linearly from the hash's home slot. The stored hash only
+  /// filters candidates; the caller's full-equality test decides. Entries
+  /// are never removed, and the table doubles before it is half full.
+  class UniqueTable {
+   public:
+    static constexpr std::uint32_t kEmpty = static_cast<std::uint32_t>(-1);
+
+    /// The slot holding an id `equal(id)` accepts, else the empty slot
+    /// where an entry with `hash` belongs. Never mutates the table.
+    template <class Equal>
+    std::size_t find(std::uint64_t hash, Equal&& equal) const {
+      const std::size_t mask = slots_.size() - 1;
+      for (std::size_t i = home(hash);; i = (i + 1) & mask) {
+        const Slot& slot = slots_[i];
+        if (slot.id == kEmpty ||
+            (slot.hash == hash && equal(slot.id))) {
+          return i;
+        }
+      }
+    }
+    std::uint32_t id(std::size_t slot) const { return slots_[slot].id; }
+    /// Fills the empty slot find() returned, then grows if needed.
+    void insert(std::size_t slot, std::uint64_t hash, std::uint32_t id);
+
+   private:
+    struct Slot {
+      std::uint64_t hash = 0;
+      std::uint32_t id = kEmpty;
+    };
+    static constexpr unsigned kInitialBits = 6;
+
+    std::size_t home(std::uint64_t hash) const {
+      // Fibonacci hashing: the multiply spreads every input bit into the
+      // top `bits_` bits, so weak low bits in `hash` cannot cluster.
+      return static_cast<std::size_t>((hash * 0x9e3779b97f4a7c15ull) >>
+                                      (64 - bits_));
+    }
+
+    unsigned bits_ = kInitialBits;
+    std::size_t size_ = 0;
+    std::vector<Slot> slots_ = std::vector<Slot>(std::size_t{1} << bits_);
+  };
+
   ArenaNodeId intern_node(std::uint32_t field, Decision decision,
-                          std::vector<ArenaEdge> edges);
+                          std::span<const ArenaEdge> edges);
   bool record_equals(const NodeRecord& r, std::uint32_t field,
                      Decision decision,
-                     const std::vector<ArenaEdge>& edges) const;
+                     std::span<const ArenaEdge> edges) const;
+  // internal()/canonical() over a mutable edge run (sorted, and for
+  // canonical_run merged, in place); `edges` must not alias edge_pool_.
+  ArenaNodeId internal_run(std::size_t field, std::span<ArenaEdge> edges);
+  ArenaNodeId canonical_run(std::size_t field, std::span<ArenaEdge> edges);
   ArenaNodeId from_tree_impl(const FddNode& node, bool canonicalize);
 
   Schema schema_;
   std::vector<NodeRecord> nodes_;
   std::vector<ArenaEdge> edge_pool_;
   std::vector<IntervalSet> labels_;
-  // Hash buckets for the unique/label tables; hashes bucket candidates,
-  // full equality decides.
-  std::unordered_map<std::uint64_t, std::vector<ArenaNodeId>> node_buckets_;
-  std::unordered_map<std::uint64_t, std::vector<ArenaLabelId>> label_buckets_;
+  UniqueTable node_table_;
+  UniqueTable label_table_;
+  // append_rule's working storage, reused across rules so that visiting a
+  // node allocates nothing unless it splits an edge: two stacks on which
+  // each frame owns the suffix from its entry size — the edge run under
+  // construction, and the runs of the labels S overlaps (the input of the
+  // uncovered-part sweep).
+  std::vector<ArenaEdge> edge_stack_;
+  std::vector<Interval> covered_runs_;
   // Memo caches, keyed on packed id pairs / id tuples. Ids are immutable,
   // so entries stay valid for the arena's lifetime.
   std::unordered_map<std::uint64_t, std::pair<ArenaNodeId, ArenaNodeId>>

@@ -19,9 +19,9 @@
 
 #include "analysis/anomaly.hpp"
 #include "fw/format.hpp"
-#include "gen/generate.hpp"
 #include "gen/redundancy.hpp"
 #include "query/query.hpp"
+#include "rt/govern.hpp"
 
 namespace dfw::lint {
 namespace {
@@ -285,16 +285,19 @@ void pass_merge(PassState& state, std::vector<Diagnostic>& out) {
   }
 
   if (state.comprehensive()) {
-    GenerateOptions gen;
-    gen.run.context = state.options.run.context;
-    gen.run.obs = state.options.run.obs;
-    const Policy compact = generate_policy(state.fdd(), gen);
-    if (compact.size() < policy.size()) {
+    // generate_policy emits one rule per decision path of the reduced
+    // diagram, so the compact policy's size is the path count; the rule
+    // budget is charged per path, as generation would charge it.
+    const std::size_t compact = state.fdd().path_count();
+    for (std::size_t i = 0; i < compact; ++i) {
+      govern::charge_rules(state.options.run.context);
+    }
+    if (compact < policy.size()) {
       Diagnostic d;
       d.check_id = "policy.compactable";
       d.severity = Severity::kNote;
       d.message = "an equivalent policy with " +
-                  std::to_string(compact.size()) + " rules exists (" +
+                  std::to_string(compact) + " rules exists (" +
                   std::to_string(policy.size()) +
                   " now); regenerate via the FDD to compact";
       out.push_back(std::move(d));

@@ -119,19 +119,23 @@ IntervalSet IntervalSet::intersect(const IntervalSet& other) const {
 }
 
 IntervalSet IntervalSet::subtract(const IntervalSet& other) const {
+  return subtract_runs(other.intervals_);
+}
+
+IntervalSet IntervalSet::subtract_runs(std::span<const Interval> runs) const {
+  // One sweep: the gaps runs leave inside each of our runs are the output.
+  // Adjacent runs leave no gap, so they need no merging first.
   IntervalSet result;
   std::size_t j = 0;
   for (const Interval& a : intervals_) {
     Value lo = a.lo();
     bool open = true;  // [lo, a.hi()] still pending output
-    while (j < other.intervals_.size() &&
-           other.intervals_[j].hi() < a.lo()) {
+    while (j < runs.size() && runs[j].hi() < a.lo()) {
       ++j;
     }
     std::size_t k = j;
-    while (open && k < other.intervals_.size() &&
-           other.intervals_[k].lo() <= a.hi()) {
-      const Interval& b = other.intervals_[k];
+    while (open && k < runs.size() && runs[k].lo() <= a.hi()) {
+      const Interval& b = runs[k];
       if (b.lo() > lo) {
         result.intervals_.push_back(Interval(lo, b.lo() - 1));
       }

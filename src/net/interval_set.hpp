@@ -9,6 +9,7 @@
 #pragma once
 
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,6 +56,10 @@ class IntervalSet {
   IntervalSet intersect(const IntervalSet& other) const;
   /// Set difference this \ other.
   IntervalSet subtract(const IntervalSet& other) const;
+  /// Set difference this \ (union of `runs`), where `runs` are pairwise
+  /// disjoint and sorted by lo() but, unlike a set's runs, may be
+  /// adjacent — e.g. the runs of several disjoint sets merged by lo().
+  IntervalSet subtract_runs(std::span<const Interval> runs) const;
 
   bool overlaps(const IntervalSet& other) const;
 

@@ -15,6 +15,7 @@
 #include "fdd/reduce.hpp"
 #include "fdd/shape.hpp"
 #include "gen/generate.hpp"
+#include "rt/govern.hpp"
 #include "synth/synth.hpp"
 #include "test_util.hpp"
 
@@ -353,6 +354,112 @@ TEST(FddArenaEquivalence, SharingShrinksTheDiagram) {
   const ArenaNodeId root = arena.build_reduced(policy);
   EXPECT_LT(arena.reachable_node_count(root),
             arena.expanded_node_count(root));
+}
+
+// -- Unique tables -----------------------------------------------------------
+
+/// Feeds the first `nodes` node records and `labels` labels of `arena` back
+/// through its unique tables: each must come back as its own id, as a hit.
+void expect_reinterned_to_themselves(FddArena& arena, std::size_t nodes,
+                                     std::size_t labels) {
+  const ArenaStats before = arena.stats();
+  for (ArenaLabelId l = 0; l < labels; ++l) {
+    const IntervalSet copy = arena.label(l);
+    ASSERT_EQ(arena.intern(copy), l) << "label " << l;
+  }
+  for (ArenaNodeId n = 0; n < nodes; ++n) {
+    if (arena.is_terminal(n)) {
+      ASSERT_EQ(arena.terminal(arena.decision(n)), n) << "node " << n;
+      continue;
+    }
+    const std::span<const ArenaEdge> edges = arena.edges(n);
+    ASSERT_EQ(arena.internal(arena.field(n), {edges.begin(), edges.end()}),
+              n)
+        << "node " << n;
+  }
+  const ArenaStats after = arena.stats();
+  EXPECT_EQ(after.unique_nodes, before.unique_nodes);
+  EXPECT_EQ(after.unique_labels, before.unique_labels);
+  EXPECT_EQ(after.node_hits - before.node_hits, nodes);
+  EXPECT_EQ(after.label_hits - before.label_hits, labels);
+}
+
+void expect_counts_balance(const ArenaStats& s) {
+  EXPECT_EQ(s.unique_nodes + s.node_hits, s.node_queries);
+  EXPECT_EQ(s.unique_labels + s.label_hits, s.label_queries);
+}
+
+std::vector<Policy> synth_policies(std::uint64_t seed,
+                                   std::initializer_list<std::size_t> sizes) {
+  Rng rng(seed);
+  std::vector<Policy> out;
+  for (const std::size_t rules : sizes) {
+    SynthConfig config;
+    config.num_rules = rules;
+    out.push_back(synth_policy(config, rng));
+  }
+  return out;
+}
+
+TEST(FddArenaTables, ReinternReturnsOriginalIdsAcrossTableGrowth) {
+  // Several 100-300-rule policies in one arena: thousands of nodes and
+  // labels, so both tables double many times from their initial size.
+  const std::vector<Policy> policies =
+      synth_policies(2024, {100, 300, 200, 150});
+  FddArena arena(policies[0].schema());
+  for (const Policy& policy : policies) {
+    const ArenaNodeId root = arena.build_reduced(policy);
+    EXPECT_TRUE(structurally_equal(
+        arena.to_fdd(root), build_reduced_fdd(policy, tree_construct())));
+    expect_counts_balance(arena.stats());
+  }
+  ASSERT_GT(arena.unique_node_count(), 2000u);
+  ASSERT_GT(arena.stats().unique_labels, 2000u);
+  expect_reinterned_to_themselves(arena, arena.unique_node_count(),
+                                  arena.stats().unique_labels);
+  expect_counts_balance(arena.stats());
+}
+
+TEST(FddArenaTables, NodeBudgetBreachMidAppendLeavesTablesConsistent) {
+  const std::vector<Policy> policies = synth_policies(99, {200, 250});
+  // How many nodes the second build adds on top of the first, ungoverned.
+  std::size_t needed = 0;
+  ArenaNodeId expected_root = 0;
+  {
+    FddArena probe(policies[0].schema());
+    probe.build_reduced(policies[0]);
+    const std::size_t before = probe.unique_node_count();
+    expected_root = probe.build_reduced(policies[1]);
+    needed = probe.unique_node_count() - before;
+  }
+  ASSERT_GT(needed, 100u);
+
+  FddArena arena(policies[0].schema());
+  arena.build_reduced(policies[0]);
+  const std::size_t before = arena.unique_node_count();
+  RunContext ctx = RunContext::with_budgets({.max_nodes = needed / 2});
+  arena.set_context(&ctx);
+  try {
+    arena.build_reduced(policies[1]);
+    FAIL() << "a budget of half the nodes needed was not breached";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kNodeBudgetExceeded);
+  }
+  arena.set_context(nullptr);
+  // The breach fired mid-build: the nodes made before it stay interned,
+  // and the one query it cut short neither hit nor created a node.
+  EXPECT_EQ(arena.unique_node_count(), before + needed / 2);
+  const ArenaStats cut = arena.stats();
+  EXPECT_EQ(cut.unique_nodes + cut.node_hits + 1, cut.node_queries);
+  EXPECT_EQ(cut.unique_labels + cut.label_hits, cut.label_queries);
+  expect_reinterned_to_themselves(arena, arena.unique_node_count(),
+                                  arena.stats().unique_labels);
+  // The unwound append left nothing behind that a fresh build could trip
+  // over: the same sequence of node creations resumes to the same root.
+  EXPECT_EQ(arena.build_reduced(policies[1]), expected_root);
+  EXPECT_TRUE(structurally_equal(
+      arena.to_fdd(expected_root),
+      build_reduced_fdd(policies[1], tree_construct())));
 }
 
 }  // namespace

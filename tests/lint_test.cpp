@@ -14,6 +14,8 @@
 
 #include "adapters/cisco.hpp"
 #include "adapters/iptables.hpp"
+#include "fdd/construct.hpp"
+#include "gen/generate.hpp"
 #include "lint/baseline.hpp"
 #include "lint/cli.hpp"
 #include "lint/engine.hpp"
@@ -229,6 +231,33 @@ TEST(Lint, MergeAdjacentAndCompactionNotes) {
   // r1 + r2 fold into one catch-all-accept... which also makes the
   // whole-policy compaction note fire (2 rules suffice).
   EXPECT_NE(find_check(report, "policy.compactable"), nullptr);
+}
+
+TEST(Lint, CompactionCountIsTheGeneratedPolicySize) {
+  // The note's count is the reduced diagram's path count, which must be
+  // exactly the size of the policy generation would emit.
+  std::size_t compactable = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    std::mt19937_64 rng(seed);
+    const Policy p = test::random_policy(tiny3(), 4 + seed % 24, rng);
+    const std::size_t generated =
+        generate_policy(build_reduced_fdd(p)).size();
+    const LintReport report = lint(p);
+    const Diagnostic* note = find_check(report, "policy.compactable");
+    if (generated < p.size()) {
+      ++compactable;
+      ASSERT_NE(note, nullptr) << "seed " << seed;
+      EXPECT_NE(note->message.find("policy with " +
+                                   std::to_string(generated) + " rules"),
+                std::string::npos)
+          << note->message;
+    } else {
+      EXPECT_EQ(note, nullptr) << "seed " << seed;
+    }
+  }
+  // Both outcomes occur over these seeds.
+  EXPECT_GT(compactable, 0u);
+  EXPECT_LT(compactable, 40u);
 }
 
 // ---------------------------------------------------------------------------

@@ -323,8 +323,23 @@ TEST(TelemetryReporterTest, SwapStormExportsValidateAndP99Recomputes) {
   for (std::thread& r : readers) {
     r.join();
   }
+  // The storm runs until the reporter has delivered a tick, however long
+  // a loaded host starves its thread: the readers' batches alone may end
+  // before the first 1 ms tick fires.
+  const auto delivered = [&] {
+    std::lock_guard<std::mutex> lock(series_mu);
+    return seq >= 1;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while ((core.telemetry_ticks() < 1 || !delivered()) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   done.store(true);
   storm.join();
+  ASSERT_TRUE(delivered())
+      << "reporter delivered no tick during the swap storm within 30 s";
 
   // Exports taken mid-flight and at rest must both validate.
   const serve::TelemetryRecord final_record = core.telemetry_now();
