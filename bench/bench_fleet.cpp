@@ -98,13 +98,16 @@ struct Trial {
   fleet::FleetReport report;
 };
 
-// Runs the audit five times on `executor` (null = serial), each with a
-// fresh registry, and returns the median trial by wall time.
+// Runs the audit once untimed, to warm the executor's threads, the
+// allocator and the caches, then five timed times on `executor` (null =
+// serial), each with a fresh registry, and returns the median trial by
+// wall time.
 Trial median_audit(const std::vector<fleet::FleetSource>& sources,
                    fleet::FleetOptions options, Executor* executor = nullptr) {
   constexpr int kTrials = 5;
   std::vector<Trial> trials(kTrials);
   options.run.executor = executor;
+  (void)run_fleet(sources, options);
   for (Trial& trial : trials) {
     MetricsRegistry registry;
     options.run.obs.metrics = &registry;

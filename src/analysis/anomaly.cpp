@@ -1,5 +1,6 @@
 #include "analysis/anomaly.hpp"
 
+#include "fdd/arena.hpp"
 #include "fw/format.hpp"
 #include "rt/executor.hpp"
 #include "rt/govern.hpp"
@@ -111,6 +112,16 @@ std::vector<Anomaly> find_anomalies(const Policy& policy,
     anomalies.insert(anomalies.end(), row.begin(), row.end());
   }
   return anomalies;
+}
+
+std::vector<std::size_t> dead_rules(const Policy& policy,
+                                    const AnomalyOptions& options) {
+  PhaseSpan span(options.run.obs, "dead_rules");
+  FddArena arena(policy.schema());
+  arena.set_context(options.run.context);
+  std::vector<std::size_t> dead;
+  arena.build_reduced(policy, &dead);
+  return dead;
 }
 
 std::string format_anomaly_report(const Policy& policy,

@@ -66,10 +66,10 @@ struct AnomalyOptions {
   /// its own slot and concatenated in row order, so the result is
   /// bit-identical to the serial scan at every thread count.
   /// `run.context` (borrowed, nullable): the pair scan takes amortized
-  /// cancellation/deadline checkpoints per pair; dead_rules takes one per
-  /// append visit and charges every diagram node it materialises against
-  /// the node budget. A breach throws dfw::Error (from the batch join under an
-  /// executor). `run.obs` (borrowed, nullable sinks): the scans run under
+  /// cancellation/deadline checkpoints per pair; dead_rules builds an
+  /// FddArena under the context, which checkpoints per append visit and
+  /// charges every node and label byte it interns against the budgets. A
+  /// breach throws dfw::Error (from the batch join under an executor). `run.obs` (borrowed, nullable sinks): the scans run under
   /// "anomaly_pairs" / "dead_rules" phase spans. Null sinks are free.
   RunOptions run = {};
 
@@ -85,13 +85,12 @@ std::vector<Anomaly> find_anomalies(const Policy& policy,
 
 /// Indices (ascending) of *dead* rules: rules no packet ever
 /// first-matches (fully masked by the rules above them). Exact, via one
-/// Fig. 7 append pass over the first/second-match diagram behind
-/// redundant_rules (defined beside it in gen/redundancy.cpp), its
-/// terminals final at their first match: a rule is dead iff its append
-/// creates no fresh path, and once the diagram covers every packet the
-/// remaining rules are dead without being appended. Dead rules are a
-/// subset of redundant rules, and of rules flagged by shadowing /
-/// redundancy-pair anomalies.
+/// Fig. 7 build of the policy in a fresh FddArena (build_reduced with its
+/// `dead` output): every intermediate diagram is canonical, so a rule is
+/// dead iff appending it leaves the root id unchanged. A rule masked by
+/// the rules above it re-interns only nodes that already exist, so it
+/// charges no node. Dead rules are a subset of redundant rules, and of
+/// rules flagged by shadowing / redundancy-pair anomalies.
 std::vector<std::size_t> dead_rules(const Policy& policy,
                                     const AnomalyOptions& options = {});
 

@@ -471,7 +471,8 @@ ArenaNodeId FddArena::append_rule(ArenaNodeId root, const Rule& rule) {
   return append(append, root, 0);
 }
 
-ArenaNodeId FddArena::build_reduced(const Policy& policy) {
+ArenaNodeId FddArena::build_reduced(const Policy& policy,
+                                     std::vector<std::size_t>* dead) {
   if (!(policy.schema() == schema_)) {
     throw std::invalid_argument("FddArena::build_reduced: schema mismatch");
   }
@@ -487,8 +488,16 @@ ArenaNodeId FddArena::build_reduced(const Policy& policy) {
       root = canonical(f, {{intern(r0.conjunct(f)), root}});
     }
   }
+  // Rule 0's conjuncts are nonempty, so it is never dead.
+  if (dead != nullptr) {
+    dead->clear();
+  }
   for (std::size_t i = 1; i < policy.size(); ++i) {
-    root = append_rule(root, policy.rule(i));
+    const ArenaNodeId next = append_rule(root, policy.rule(i));
+    if (dead != nullptr && next == root) {
+      dead->push_back(i);
+    }
+    root = next;
   }
   return root;
 }
@@ -781,21 +790,44 @@ Decision FddArena::evaluate(ArenaNodeId root, const Packet& p) const {
 void FddArena::validate(ArenaNodeId root, bool require_complete) const {
   // Consistency, completeness, domain, and emptiness are per-node facts;
   // ordering reduces to the per-edge check field(target) > field(node).
-  // All are checked once per unique reachable node.
-  std::unordered_map<ArenaNodeId, bool> seen;
+  // All are checked once per unique reachable node, and the first defect
+  // in depth-first edge order is the one reported.
+  std::vector<char> seen(nodes_.size(), 0);
+  std::vector<Interval> runs;  // one node's label runs, reused
   const auto visit = [&](auto&& self, ArenaNodeId id) -> void {
     if (seen[id]) {
       return;
     }
-    seen[id] = true;
+    seen[id] = 1;
     govern::checkpoint(govern_);
     if (is_terminal(id)) {
       return;
     }
     const std::size_t f = field(id);
     const IntervalSet& domain = schema_.domain_set(f);
+    const std::span<const ArenaEdge> out = edges(id);
+    runs.clear();
+    for (const ArenaEdge& e : out) {
+      const std::vector<Interval>& ivs = labels_[e.label].intervals();
+      runs.insert(runs.end(), ivs.begin(), ivs.end());
+    }
+    std::sort(runs.begin(), runs.end(),
+              [](const Interval& a, const Interval& b) {
+                return a.lo() < b.lo();
+              });
+    // Two labels overlap iff two runs adjacent in lo() order do. Only then
+    // is the union walk below needed to find the first edge that overlaps
+    // an earlier one; it throws before the completeness check is reached.
+    const bool overlap =
+        std::adjacent_find(runs.begin(), runs.end(),
+                           [](const Interval& a, const Interval& b) {
+                             return b.lo() <= a.hi();
+                           }) != runs.end();
+    // Disjoint runs inside the domain cover it iff nothing is left over.
+    const bool complete =
+        !require_complete || domain.subtract_runs(runs).empty();
     IntervalSet covered;
-    for (const ArenaEdge& e : edges(id)) {
+    for (const ArenaEdge& e : out) {
       const IntervalSet& lab = labels_[e.label];
       if (lab.empty()) {
         throw std::logic_error("FDD: empty edge label");
@@ -804,11 +836,13 @@ void FddArena::validate(ArenaNodeId root, bool require_complete) const {
         throw std::logic_error("FDD: edge label exceeds domain of field " +
                                schema_.field(f).name);
       }
-      if (covered.overlaps(lab)) {
-        throw std::logic_error("FDD: consistency violated at field " +
-                               schema_.field(f).name);
+      if (overlap) {
+        if (covered.overlaps(lab)) {
+          throw std::logic_error("FDD: consistency violated at field " +
+                                 schema_.field(f).name);
+        }
+        covered = covered.unite(lab);
       }
-      covered = covered.unite(lab);
       if (!is_terminal(e.target) && field(e.target) <= f) {
         throw std::logic_error(
             "FDD: field order violated on a path (field " +
@@ -816,7 +850,7 @@ void FddArena::validate(ArenaNodeId root, bool require_complete) const {
       }
       self(self, e.target);
     }
-    if (require_complete && !(covered == domain)) {
+    if (!complete) {
       throw std::logic_error("FDD: completeness violated at field " +
                              schema_.field(f).name);
     }

@@ -157,7 +157,15 @@ class FddArena {
   /// canonical (reduced) by construction. Throws std::invalid_argument on
   /// an arity mismatch and std::logic_error via validate() misuse, exactly
   /// like the tree path.
-  ArenaNodeId build_reduced(const Policy& policy);
+  ///
+  /// With `dead` (nullable) the same pass also decides the policy's dead
+  /// rules, the ones no packet first-matches, and stores their indices in
+  /// `*dead` in ascending order. Each intermediate root is the canonical
+  /// diagram of the partial function the rules appended so far define, so
+  /// a rule is dead exactly when appending it returns the root unchanged
+  /// (docs/fdd-arena.md, "Dead rules are unchanged roots").
+  ArenaNodeId build_reduced(const Policy& policy,
+                            std::vector<std::size_t>* dead = nullptr);
 
   /// Appends one rule (lowest priority) to a diagram, returning the new
   /// root. The input diagram is unchanged (ids are immutable).

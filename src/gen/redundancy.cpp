@@ -3,38 +3,27 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "analysis/anomaly.hpp"
 #include "rt/govern.hpp"
 
 namespace dfw {
 namespace {
 
-// The first/second-match diagram: a full-depth partial FDD built by the
-// Fig. 7 append in rule order, whose terminals record the first matching
-// rule of their packets. A subtree is final (saturated) once every packet
-// below has the matches the question needs; all saturated subtrees are
-// one shared sentinel node, which later appends skip and edge splits
-// share instead of copying. Once the root saturates, every remaining
-// rule is decided without being appended.
-//
-//   dead rules       terminals saturate at their first match. Rule i is
-//                    dead iff its append creates no fresh path, i.e. no
-//                    packet reaches it unmatched.
-//   redundant rules  terminals saturate at their second match. Removing
-//                    rule i changes exactly the packets it matches first,
-//                    which then fall through to their second match; so i
-//                    is redundant iff every terminal whose first match is
-//                    i gets a second match with i's decision, decided as
-//                    each second match arrives.
+// The second-match diagram: a full-depth partial FDD built by the Fig. 7
+// append in rule order, whose terminals record the first matching rule of
+// their packets. Removing rule i changes exactly the packets it matches
+// first, which then fall through to their second match; so i is redundant
+// iff every terminal whose first match is i gets a second match with i's
+// decision, decided as each second match arrives. A subtree is final
+// (saturated) once every packet below has its second match; all saturated
+// subtrees are one shared sentinel node, which later appends skip and
+// edge splits share instead of copying. Once the root saturates, every
+// remaining rule is decided without being appended.
 class MatchDiagram {
  public:
-  // A terminal saturates at its `matches`-th match: 1 decides dead rules,
-  // 2 redundant ones.
-  MatchDiagram(const Policy& policy, RunContext* context, int matches)
+  MatchDiagram(const Policy& policy, RunContext* context)
       : policy_(policy),
         depth_(policy.schema().field_count()),
         context_(context),
-        second_match_(matches == 2),
         kept_(policy.size(), false) {
     add(Node{});  // kSaturated
     root_ = add(Node{});
@@ -44,11 +33,10 @@ class MatchDiagram {
     }
   }
 
-  // Indices (ascending) of the rules the diagram did not keep: the dead
-  // rules, or the redundant ones (none when the policy is not
-  // comprehensive).
-  std::vector<std::size_t> unkept() {
-    if (second_match_ && !finish(root_, 0)) {
+  // Indices (ascending) of the redundant rules (none when the policy is
+  // not comprehensive).
+  std::vector<std::size_t> redundant() {
+    if (!finish(root_, 0)) {
       return {};
     }
     std::vector<std::size_t> result;
@@ -86,15 +74,16 @@ class MatchDiagram {
   }
 
   // Fresh decision path of `rule` from `field` down: the packets under it
-  // match no earlier rule, so `rule` is their first match.
+  // match no earlier rule, so `rule` is their first match (and the path,
+  // awaiting their second, is never saturated).
   std::size_t path(std::size_t rule, std::size_t field) {
     if (field == depth_) {
-      return second_match_ ? add(Node{{}, {}, rule}) : kSaturated;
+      return add(Node{{}, {}, rule});
     }
     Node node;
     node.covered = policy_.rule(rule).conjunct(field);
     node.edges.push_back({node.covered, path(rule, field + 1)});
-    return saturated(node, field) ? kSaturated : add(std::move(node));
+    return add(std::move(node));
   }
 
   // Subgraph replication for an edge split.
@@ -170,9 +159,6 @@ class MatchDiagram {
       const std::size_t fresh = path(rule, field + 1);
       nodes_[v].covered = nodes_[v].covered.unite(uncovered);
       nodes_[v].edges.push_back({std::move(uncovered), fresh});
-      if (!second_match_) {
-        kept_[rule] = true;  // some packet first-matches the rule
-      }
     }
     return saturated(nodes_[v], field) ? kSaturated : v;
   }
@@ -199,11 +185,9 @@ class MatchDiagram {
   const Policy& policy_;
   const std::size_t depth_;
   RunContext* context_;
-  const bool second_match_;
   std::vector<Node> nodes_;
   std::size_t root_ = 0;
-  // Dead rules: the rule first-matches some packet. Redundant rules:
-  // removing the rule changes some packet's decision.
+  // Removing the rule changes some packet's decision.
   std::vector<bool> kept_;
 };
 
@@ -231,13 +215,7 @@ std::vector<std::size_t> redundant_rules(const Policy& policy,
   if (policy.size() < 2) {
     return {};  // the only rule of a policy is never removable
   }
-  return MatchDiagram(policy, context, 2).unkept();
-}
-
-std::vector<std::size_t> dead_rules(const Policy& policy,
-                                    const AnomalyOptions& options) {
-  PhaseSpan span(options.run.obs, "dead_rules");
-  return MatchDiagram(policy, options.run.context, 1).unkept();
+  return MatchDiagram(policy, context).redundant();
 }
 
 Policy remove_redundant(const Policy& policy) {

@@ -12,9 +12,8 @@
 // front, re-deciding against the shrinking policy so the final sequence
 // has no redundant rule left (a maximal removal set).
 //
-// The same diagram, with its terminals final at their first match instead
-// of their second, decides dead rules: analysis/anomaly.hpp dead_rules is
-// defined in redundancy.cpp on this kernel.
+// Dead rules are decided elsewhere, by the canonical FddArena build
+// (analysis/anomaly.hpp dead_rules, FddArena::build_reduced).
 
 #pragma once
 

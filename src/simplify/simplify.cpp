@@ -45,26 +45,25 @@ Rule merge_pair(const Schema& schema, const Rule& a, const Rule& b,
   return Rule(schema, std::move(conjuncts), a.decision());
 }
 
-/// Removes rules no packet ever first-matches. Exact via dead_rules() —
-/// the same reachability dfw-lint's dead-rules pass reports on.
-bool eliminate_dead(const Schema& schema, std::vector<Rule>& rules,
-                    const SimplifyOptions& options, SimplifyStats& stats) {
-  AnomalyOptions scan;
-  // The dead-rule scan is inherently serial; keep the caller's governance
-  // and sinks but not its executor.
-  scan.run.context = options.run.context;
-  scan.run.obs = options.run.obs;
-  const std::vector<std::size_t> dead =
-      dead_rules(Policy(schema, rules), scan);
-  if (dead.empty()) {
-    return false;
-  }
-  // dead_rules reports ascending indices; erase back-to-front.
+/// Removes rules no packet ever first-matches and returns the root of the
+/// rules as they stood before. Both come from one build of the round's
+/// rules in the pass's arena: the dead rules are those whose append leaves
+/// the canonical root unchanged (FddArena::build_reduced), the same ones
+/// dead_rules() reports.
+ArenaNodeId eliminate_dead(FddArena& arena, std::vector<Rule>& rules,
+                           const ObsOptions& obs, SimplifyStats& stats,
+                           bool& changed) {
+  PhaseSpan span(obs, "dead_rules");
+  std::vector<std::size_t> dead;
+  const ArenaNodeId root =
+      arena.build_reduced(Policy(arena.schema(), rules), &dead);
+  // build_reduced reports ascending indices; erase back-to-front.
   for (std::size_t i = dead.size(); i-- > 0;) {
     rules.erase(rules.begin() + static_cast<std::ptrdiff_t>(dead[i]));
   }
   stats.dead_eliminated += dead.size();
-  return true;
+  changed = !dead.empty();
+  return root;
 }
 
 /// Folds neighbouring same-decision rules that differ in exactly one
@@ -175,22 +174,16 @@ bool coalesce_runs(const Schema& schema, std::vector<Rule>& rules,
   return changed;
 }
 
-/// Arena-backed equivalence proof. Both policies intern into one
-/// hash-consed arena through build_reduced, whose results are canonical —
-/// the reduced ordered FDD of a packet function is unique, so root-id
-/// equality decides equivalence outright (for partial functions too). The
-/// explicit shape + compare walk is run as the reportable artifact: a
-/// proven rewrite shows zero discrepancies from the same comparison
-/// machinery the paper's cross-team pipeline uses. A proven rewrite
-/// leaves the simplified policy's reduced FDD, expanded from the arena, in
-/// `*reduced` (nullable).
-ProofStatus prove(const Policy& original, const Policy& simplified,
-                  RunContext* ctx, SimplifyReport& report,
-                  std::optional<Fdd>* reduced) {
-  FddArena arena(original.schema());
-  arena.set_context(ctx);
-  const ArenaNodeId a = arena.build_reduced(original);
-  const ArenaNodeId b = arena.build_reduced(simplified);
+/// Arena-backed equivalence proof of the canonical roots `a` (original)
+/// and `b` (simplified). The reduced ordered FDD of a packet function is
+/// unique, so root-id equality decides equivalence outright (for partial
+/// functions too). The explicit shape + compare walk is run as the
+/// reportable artifact: a proven rewrite shows zero discrepancies from the
+/// same comparison machinery the paper's cross-team pipeline uses. A
+/// proven rewrite leaves the simplified policy's reduced FDD, expanded
+/// from the arena, in `*reduced` (nullable).
+ProofStatus prove(FddArena& arena, ArenaNodeId a, ArenaNodeId b,
+                  SimplifyReport& report, std::optional<Fdd>* reduced) {
   if (a == b) {
     const auto shaped = arena.shape_pair(a, b);
     report.proof_discrepancies =
@@ -252,13 +245,26 @@ SimplifyOutcome simplify_policy(const Policy& policy,
   const Schema& schema = policy.schema();
   std::vector<Rule> rules = policy.rules();
   try {
+    // One arena for the whole pass: every round's dead-rule scan builds
+    // the round's rules in it, and the proof compares the roots.
+    FddArena arena(schema);
+    arena.set_context(ctx);
+    // The roots of the original and of the returned rules, when a scan
+    // built them: the first round's and the unchanged last round's.
+    std::optional<ArenaNodeId> original_root;
+    std::optional<ArenaNodeId> final_root;
     // A round that changes nothing leaves `rules` as it found them, so
     // when it ran dead elimination the result has no dead rule.
     std::optional<PolicyFacts> facts;
     for (std::size_t round = 0; round < options.max_passes; ++round) {
       bool changed = false;
+      std::optional<ArenaNodeId> root;
       if (options.eliminate_dead) {
-        changed = eliminate_dead(schema, rules, options, report.stats);
+        root = eliminate_dead(arena, rules, options.run.obs, report.stats,
+                              changed);
+        if (round == 0) {
+          original_root = root;
+        }
       }
       if (options.merge_adjacent) {
         changed = merge_adjacent(schema, rules, ctx, report.stats) || changed;
@@ -269,6 +275,7 @@ SimplifyOutcome simplify_policy(const Policy& policy,
       if (!changed) {
         if (options.eliminate_dead) {
           facts.emplace();
+          final_root = root;
         }
         break;
       }
@@ -281,8 +288,14 @@ SimplifyOutcome simplify_policy(const Policy& policy,
       return {std::move(simplified), report, std::move(facts)};
     }
     if (options.prove) {
-      report.proof = prove(policy, simplified, ctx, report,
-                           facts ? &facts->fdd : nullptr);
+      // Build only what the scans did not: the original without dead
+      // elimination, the result when max_passes cut the fixpoint short.
+      const ArenaNodeId a =
+          original_root ? *original_root : arena.build_reduced(policy);
+      const ArenaNodeId b =
+          final_root ? *final_root : arena.build_reduced(simplified);
+      report.proof =
+          prove(arena, a, b, report, facts ? &facts->fdd : nullptr);
       if (report.proof == ProofStatus::kRefuted) {
         // A refuted proof means a transform is unsound (an internal bug):
         // fail safe by handing back the input untouched.

@@ -10,9 +10,10 @@
 // mapping, including the fall-through set of non-comprehensive policies):
 //
 //   dead elimination   rules no packet ever first-matches, detected
-//                      exactly on the first-match diagram
-//                      (analysis/anomaly.hpp dead_rules — the same
-//                      machinery behind dfw-lint's dead-rules pass)
+//                      exactly: a rule is dead iff appending it leaves
+//                      the canonical arena root unchanged (the test
+//                      behind analysis/anomaly.hpp dead_rules and
+//                      dfw-lint's dead-rules pass)
 //   adjacent merge     neighbouring rules with one decision that differ
 //                      in exactly one field fold into one rule whose
 //                      differing conjunct is the union
@@ -22,16 +23,19 @@
 //                      single-field pairs are merged
 //
 // The pass iterates the transforms to a fixpoint, then *proves* the
-// result: both policies are interned into one hash-consed FddArena, where
-// id equality of the canonical roots IS semantic equality — backed up by
-// an explicit shape + compare walk reporting zero discrepancies. A policy
+// result. One hash-consed FddArena serves the whole pass: each round's
+// dead-rule scan builds the round's rules in it, so the first round's
+// root is the original policy's and the last, unchanged round's root is
+// the result's. Id equality of canonical roots IS semantic equality, so
+// the proof compares those two ids — backed up by an explicit shape +
+// compare walk reporting zero discrepancies. A policy
 // is never returned unproven: if the proof is refuted (an internal bug)
 // or cut short by governance, the ORIGINAL policy comes back and the
 // report says so.
 //
 // What the pass proved about the policy it returns comes back with it
-// (PolicyFacts): the fixpoint's last dead-rule scan and the proof's
-// reduced FDD, so a later analysis of the same policy (dfw-lint, the
+// (PolicyFacts): the fixpoint's last dead-rule scan and the reduced FDD
+// of its root, so a later analysis of the same policy (dfw-lint, the
 // fleet pipeline) starts from them instead of recomputing them.
 
 #pragma once
@@ -51,13 +55,14 @@ namespace dfw {
 /// Per-run knobs, in the library's options-struct idiom.
 struct SimplifyOptions {
   /// Shared execution knobs (rt/run_options.hpp). `run.context` governs
-  /// the whole pass: the dead-rule scan charges its diagram nodes,
-  /// the proof arena charges every interned node and label byte, and the
-  /// transform scans take amortized checkpoints. A breach aborts the pass
-  /// — the outcome carries the ORIGINAL policy, complete = false, and the
-  /// breach's code. `run.obs`: the pass runs under a "simplify" phase
-  /// span with "simplify.transform" / "simplify.prove" subspans, and
-  /// counts rules removed into "simplify.rules_removed". `run.executor`
+  /// the whole pass: the pass's arena charges every interned node and
+  /// label byte, and it and the transform scans take amortized
+  /// checkpoints. A breach aborts the pass — the outcome carries the
+  /// ORIGINAL policy, complete = false, and the breach's code. `run.obs`:
+  /// the pass runs under a "simplify" phase span holding one "dead_rules"
+  /// span per round that ran dead elimination; it counts rules removed
+  /// into "simplify.rules_removed", and proven / aborted passes into
+  /// "simplify.proof.proven" / "simplify.aborted". `run.executor`
   /// is accepted for uniformity but unused — one policy simplifies
   /// serially (fleets parallelize across policies, tools/dfw_fleet).
   RunOptions run = {};
@@ -123,7 +128,7 @@ struct PolicyFacts {
   /// reports them. Facts exist only when the fixpoint ended on a round
   /// whose dead elimination removed nothing, so this is empty.
   std::vector<std::size_t> dead_rules;
-  /// The policy's reduced FDD, expanded from the proof's arena; set iff
+  /// The policy's reduced FDD, expanded from the pass's arena; set iff
   /// the proof is kProven. Identical to build_reduced_fdd(policy).
   std::optional<Fdd> fdd;
 };

@@ -174,8 +174,8 @@ TEST(Anomaly, GovernedPairScanAbortsOnTinyNodeBudget) {
 
 // Independent dead-rule reference: give rule i a fresh decision nothing
 // else uses; i is dead iff that decision is unreachable in the rebuilt
-// diagram. Exercises a completely different code path (full FDD build +
-// reachability) than the incremental first-match diagram under test.
+// diagram. Exercises a different question (one full FDD build per rule +
+// reachability) than the single build's unchanged-root test under test.
 std::vector<std::size_t> dead_rules_by_reachability(const Policy& p) {
   constexpr Decision kFresh = 9;
   std::vector<std::size_t> dead;
@@ -204,8 +204,8 @@ TEST(Anomaly, DeadRulesInterleavedReductionKeepsExactness) {
   // Staggered cubes over [0,4095]^3 followed by exact duplicates: a
   // diagram of many split edges, and a coverage tree that outgrows the
   // oracle's 256-node interleaved reduce(). The duplicates (and only they)
-  // are dead; splitting, sharing saturated subtrees and skipping them must
-  // not change that.
+  // are dead; splitting edges and sharing subdiagrams by id must not
+  // change that.
   const Schema s({{"a", Interval(0, 4095), FieldKind::kInteger},
                   {"b", Interval(0, 4095), FieldKind::kInteger},
                   {"c", Interval(0, 4095), FieldKind::kInteger}});
@@ -238,7 +238,7 @@ TEST(Anomaly, DeadRulesInterleavedReductionKeepsExactness) {
 }
 
 // The tree coverage walk dead_rules used before it moved onto the
-// first-match diagram, kept as the oracle: fold the rules into one
+// FDD arena, kept as the oracle: fold the rules into one
 // growing partial tree FDD (Fig. 7 appends) that, after i rules, covers
 // exactly the packets some earlier rule matches; rule i is dead iff its
 // predicate cannot escape that coverage. Reduction is sound on partial
@@ -346,9 +346,9 @@ TEST(Anomaly, DeadRulesMatchCoverageTreeOnSyntheticFleets) {
 }
 
 TEST(Anomaly, DeadRulesStopOnceCoverageSaturates) {
-  // A leading catch-all covers every packet: its path saturates into the
-  // shared sentinel, the root saturates with it, and the rules after it
-  // are all dead without a node of their own.
+  // A leading catch-all covers every packet: the diagram is one terminal,
+  // every later append returns it unchanged, and the rules after it are
+  // all dead without a node of their own.
   std::mt19937_64 rng(3);
   const Schema s = tiny3();
   std::vector<Rule> rules{Rule::catch_all(s, kAccept)};
@@ -365,7 +365,7 @@ TEST(Anomaly, DeadRulesStopOnceCoverageSaturates) {
     expected.push_back(i);
   }
   EXPECT_EQ(dead_rules(p, options), expected);
-  EXPECT_LE(context.nodes_charged(), 2u);  // the root and the sentinel
+  EXPECT_LE(context.nodes_charged(), 2u);  // the terminal root
 }
 
 TEST(Anomaly, DeadRulesCopyNothingForMaskedRules) {

@@ -426,8 +426,8 @@ TEST(GovernTest, RedundancyKernelHonoursBudgetAndCancellation) {
 }
 
 TEST(GovernTest, DeadRulesKernelHonoursBudgetAndCancellation) {
-  // dead_rules runs on the same kernel with terminals saturated at their
-  // first match: the same charges, checkpoints and breach semantics.
+  // dead_rules runs on the FDD arena's build, which charges its nodes and
+  // takes checkpoints with the same breach semantics.
   const Policy p = adversarial(12, false);
   AnomalyOptions options;
   RunContext ctx = RunContext::with_budgets({.max_nodes = 64});

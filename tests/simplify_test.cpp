@@ -433,6 +433,131 @@ TEST(SimplifyFacts, AbsentWithoutDeadElimination) {
 }
 
 // ---------------------------------------------------------------------------
+// Randomized harness for the one-arena pass: each round's dead-rule scan
+// and the proof share one FddArena, so the facts and the proof must still
+// describe exactly the policy returned.
+
+/// A random policy of 2-12 rules over `s` whose rules are often copies of
+/// earlier ones (dead rules) or earlier ones with one field redrawn (merge
+/// candidates). `decisions` is 2 or 3; without `comprehensive` the last
+/// rule is not a catch-all, so some packets may match nothing.
+Policy harness_policy(const Schema& s, Decision decisions, bool comprehensive,
+                      std::mt19937_64& rng) {
+  std::uniform_int_distribution<std::size_t> size_pick(2, 12);
+  std::uniform_int_distribution<Decision> decision_pick(0, decisions - 1);
+  std::uniform_int_distribution<int> shape(0, 3);
+  std::uniform_int_distribution<std::size_t> field_pick(0,
+                                                        s.field_count() - 1);
+  const std::size_t n = size_pick(rng);
+  std::vector<Rule> rules;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Decision d = decision_pick(rng);
+    if (comprehensive && i + 1 == n) {
+      rules.push_back(Rule::catch_all(s, d));
+      break;
+    }
+    const int kind = rules.empty() ? 0 : shape(rng);
+    std::uniform_int_distribution<std::size_t> earlier(
+        0, rules.empty() ? 0 : rules.size() - 1);
+    if (kind == 1) {
+      rules.push_back(rules[earlier(rng)]);
+      continue;
+    }
+    std::vector<IntervalSet> conjuncts;
+    if (kind == 2) {
+      const Rule& base = rules[earlier(rng)];
+      conjuncts = base.conjuncts();
+      const std::size_t f = field_pick(rng);
+      conjuncts[f] = test::random_set(s.domain(f), rng);
+      rules.emplace_back(s, std::move(conjuncts), base.decision());
+      continue;
+    }
+    for (std::size_t f = 0; f < s.field_count(); ++f) {
+      conjuncts.push_back(test::random_set(s.domain(f), rng));
+    }
+    rules.emplace_back(s, std::move(conjuncts), d);
+  }
+  return Policy(s, std::move(rules));
+}
+
+void expect_same_rules(const Policy& a, const Policy& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t r = 0; r < a.size(); ++r) {
+    EXPECT_EQ(a.rule(r).conjuncts(), b.rule(r).conjuncts());
+    EXPECT_EQ(a.rule(r).decision(), b.rule(r).decision());
+  }
+}
+
+TEST(SimplifyHarness, OneArenaPassIsSoundAndItsFactsExact) {
+  std::mt19937_64 rng(20261020);
+  std::size_t removed = 0;
+  std::size_t cut_short = 0;
+  std::size_t breached = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const Schema s = trial % 2 == 0 ? tiny2() : tiny3();
+    const Decision decisions = trial % 3 == 0 ? 3 : 2;
+    const bool comprehensive = trial % 4 != 1;
+    const Policy p = harness_policy(s, decisions, comprehensive, rng);
+
+    const SimplifyOutcome out = simplify_policy(p);
+    ASSERT_TRUE(out.report.complete) << "trial " << trial;
+    ASSERT_TRUE(out.report.proof == ProofStatus::kProven ||
+                out.report.passes == 0)
+        << "trial " << trial << ": " << to_string(out.report.proof);
+    EXPECT_EQ(out.report.proof_discrepancies, 0u);
+    expect_same_mapping(p, out.policy);
+    expect_facts_describe(out);
+    removed += p.size() - out.policy.size();
+
+    // Where the scans did not build both roots, the proof builds the
+    // missing one: without dead elimination, and when max_passes stops
+    // the fixpoint early.
+    SimplifyOptions no_dead;
+    no_dead.eliminate_dead = false;
+    SimplifyOptions one_round;
+    one_round.max_passes = 1;
+    for (const SimplifyOptions& options : {no_dead, one_round}) {
+      const SimplifyOutcome partial = simplify_policy(p, options);
+      ASSERT_TRUE(partial.report.proof == ProofStatus::kProven ||
+                  partial.report.passes == 0)
+          << "trial " << trial;
+      expect_same_mapping(p, partial.policy);
+      if (partial.facts) {
+        expect_facts_describe(partial);
+      } else if (options.eliminate_dead) {
+        ++cut_short;
+      }
+    }
+
+    if (out.report.passes == 0) {
+      continue;
+    }
+    // A budget that runs out partway through the pass (the idle run's
+    // charge, halved) aborts it and hands back the original, marked.
+    RunContext idle;
+    SimplifyOptions measured;
+    measured.run.context = &idle;
+    ASSERT_TRUE(simplify_policy(p, measured).report.complete);
+    RunContext tight = RunContext::with_budgets(
+        {.max_nodes = std::max<std::size_t>(1, idle.nodes_charged() / 2)});
+    SimplifyOptions governed;
+    governed.run.context = &tight;
+    const SimplifyOutcome cut = simplify_policy(p, governed);
+    ASSERT_FALSE(cut.report.complete) << "trial " << trial;
+    EXPECT_EQ(cut.report.status, ErrorCode::kNodeBudgetExceeded);
+    EXPECT_EQ(cut.report.proof, ProofStatus::kAborted);
+    EXPECT_EQ(cut.report.rules_after, p.size());
+    EXPECT_FALSE(cut.facts.has_value());
+    expect_same_rules(cut.policy, p);
+    ++breached;
+  }
+  // The generator exercises what the harness checks.
+  EXPECT_GT(removed, 600u);
+  EXPECT_GT(cut_short, 100u);
+  EXPECT_GT(breached, 200u);
+}
+
+// ---------------------------------------------------------------------------
 // make_fleet contract
 
 TEST(FleetSynth, SitePoliciesAreIndependentOfFleetSize) {
