@@ -3,12 +3,11 @@
 // the BDD baseline's encoding. Complements the figure benches with
 // steady-state per-operation costs.
 //
-// The binary also owns the arena-vs-tree sweep: a custom main() first runs
-// the construct/shape/compare pipeline on both representations across
-// policy sizes, asserts their discrepancy outputs are identical, and
-// writes node counts, sharing factors, and wall times to
-// BENCH_fdd_arena.json, then hands over to google-benchmark. Pass
-// --skip-arena-sweep to go straight to the micro benchmarks.
+// The binary also owns the arena sweep: a custom main() first runs the
+// construct/shape/compare pipeline across policy sizes and writes wall
+// times and node counts to BENCH_fdd_arena.json, then hands over to
+// google-benchmark. Pass --skip-arena-sweep to go straight to the micro
+// benchmarks.
 //
 // Pass --trace[=FILE] for the observability smoke session instead of
 // benchmarks: an instrumented end-to-end discrepancies + generate run that
@@ -28,7 +27,6 @@
 #include "fdd/arena.hpp"
 #include "fdd/compare.hpp"
 #include "fdd/construct.hpp"
-#include "fdd/node.hpp"
 #include "fdd/reduce.hpp"
 #include "fdd/shape.hpp"
 #include "fdd/simplify.hpp"
@@ -82,16 +80,6 @@ void BM_ConstructReference(benchmark::State& state) {
 }
 BENCHMARK(BM_ConstructReference)->Arg(50)->Arg(100)->Arg(200);
 
-void BM_ConstructReduced(benchmark::State& state) {
-  const Policy p = cached_policy(static_cast<std::size_t>(state.range(0)), 7);
-  ConstructOptions options;
-  options.use_arena = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(build_reduced_fdd(p, options));
-  }
-}
-BENCHMARK(BM_ConstructReduced)->Arg(50)->Arg(200)->Arg(800);
-
 void BM_ConstructArena(benchmark::State& state) {
   const Policy p = cached_policy(static_cast<std::size_t>(state.range(0)), 7);
   for (auto _ : state) {
@@ -129,26 +117,12 @@ void BM_CompareShaped(benchmark::State& state) {
 }
 BENCHMARK(BM_CompareShaped)->Arg(100)->Arg(400);
 
-void BM_EndToEndDiscrepancies(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const Policy pa = cached_policy(n, 7);
-  const Policy pb = cached_policy(n, 8);
-  CompareOptions options;
-  options.use_arena = false;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(discrepancies(pa, pb, options));
-  }
-}
-BENCHMARK(BM_EndToEndDiscrepancies)->Arg(42)->Arg(200)->Arg(661);
-
 void BM_EndToEndDiscrepanciesArena(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const Policy pa = cached_policy(n, 7);
   const Policy pb = cached_policy(n, 8);
-  CompareOptions options;
-  options.use_arena = true;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(discrepancies(pa, pb, options));
+    benchmark::DoNotOptimize(discrepancies(pa, pb));
   }
 }
 BENCHMARK(BM_EndToEndDiscrepanciesArena)->Arg(42)->Arg(200)->Arg(661);
@@ -232,44 +206,30 @@ void BM_BddEncodePolicy(benchmark::State& state) {
 }
 BENCHMARK(BM_BddEncodePolicy)->Arg(10)->Arg(40);
 
-// -- Arena-vs-tree sweep -----------------------------------------------------
+// -- Arena sweep --------------------------------------------------------------
 //
 // The whole pairwise pipeline (construct -> validate -> shape -> compare)
-// run on both representations. FddNode allocations are counted through the
-// tree factories' global counter; the arena's analog is the number of
-// nodes it materialises. sharing_factor = tree allocations / arena unique
-// nodes, the size advantage hash-consing buys on the identical workload.
+// across policy sizes: wall time, the nodes the arena materialises, and
+// the size of the tree those diagrams would expand to (shared subdiagrams
+// counted once per reference) — the size advantage hash-consing buys.
 bool arena_sweep() {
   std::FILE* json = std::fopen("BENCH_fdd_arena.json", "w");
   if (!json) {
     std::fprintf(stderr, "cannot open BENCH_fdd_arena.json for writing\n");
     return false;
   }
-  std::printf(
-      "arena-vs-tree pipeline sweep (pairwise discrepancies, seeds 7/8)\n");
-  std::printf("%7s %10s %11s %9s %12s %12s %9s %6s\n", "rules", "tree(ms)",
-              "arena(ms)", "speedup", "tree-nodes", "arena-nodes", "sharing",
-              "equal");
+  std::printf("arena pipeline sweep (pairwise discrepancies, seeds 7/8)\n");
+  std::printf("%7s %11s %12s %14s %9s\n", "rules", "arena(ms)",
+              "arena-nodes", "expanded-nodes", "diffs");
   std::fprintf(json, "{\n  \"bench\": \"fdd_arena\",\n  \"sweep\": [");
-  bool all_identical = true;
   bool first = true;
   for (const std::size_t n : {500u, 1000u, 2000u, 4000u}) {
     const Policy pa = cached_policy(n, 7);
     const Policy pb = cached_policy(n, 8);
-    CompareOptions tree_options;
-    tree_options.use_arena = false;
-    CompareOptions arena_options;
-    arena_options.use_arena = true;
 
-    const std::size_t alloc_before = fdd_node_allocations();
-    std::vector<Discrepancy> tree_out;
-    const double tree_ms =
-        bench::time_ms([&] { tree_out = discrepancies(pa, pb, tree_options); });
-    const std::size_t tree_nodes = fdd_node_allocations() - alloc_before;
-
-    std::vector<Discrepancy> arena_out;
-    const double arena_ms = bench::time_ms(
-        [&] { arena_out = discrepancies(pa, pb, arena_options); });
+    std::vector<Discrepancy> out;
+    const double arena_ms =
+        bench::time_ms([&] { out = discrepancies(pa, pb); });
 
     // Untimed stats pass: same pipeline, arena kept alive for counters.
     FddArena arena(pa.schema());
@@ -281,37 +241,24 @@ bool arena_sweep() {
     arena.shape_all(roots);
     (void)arena.compare(roots);
     const std::size_t arena_nodes = arena.unique_node_count();
-    const double sharing =
-        arena_nodes == 0 ? 0.0
-                         : static_cast<double>(tree_nodes) /
-                               static_cast<double>(arena_nodes);
+    const std::size_t expanded = arena.expanded_node_count(roots[0]) +
+                                 arena.expanded_node_count(roots[1]);
 
-    const bool identical = arena_out == tree_out;
-    all_identical = all_identical && identical;
-    std::printf("%7zu %10.1f %11.1f %8.2fx %12zu %12zu %8.1fx %6s\n", n,
-                tree_ms, arena_ms, tree_ms / arena_ms, tree_nodes,
-                arena_nodes, sharing, identical ? "yes" : "NO");
+    std::printf("%7zu %11.1f %12zu %14zu %9zu\n", n, arena_ms, arena_nodes,
+                expanded, out.size());
     std::fflush(stdout);
     std::fprintf(json,
-                 "%s\n    {\"rules\": %zu, \"tree_ms\": %.3f, "
-                 "\"arena_ms\": %.3f, \"speedup\": %.3f, "
-                 "\"tree_nodes_allocated\": %zu, \"arena_unique_nodes\": %zu, "
-                 "\"sharing_factor\": %.3f, \"discrepancies\": %zu, "
-                 "\"identical\": %s}",
-                 first ? "" : ",", n, tree_ms, arena_ms, tree_ms / arena_ms,
-                 tree_nodes, arena_nodes, sharing, arena_out.size(),
-                 identical ? "true" : "false");
+                 "%s\n    {\"rules\": %zu, \"arena_ms\": %.3f, "
+                 "\"arena_unique_nodes\": %zu, \"expanded_nodes\": %zu, "
+                 "\"discrepancies\": %zu}",
+                 first ? "" : ",", n, arena_ms, arena_nodes, expanded,
+                 out.size());
     first = false;
   }
-  std::fprintf(json, "\n  ],\n  \"identical\": %s\n}\n",
-               all_identical ? "true" : "false");
+  std::fprintf(json, "\n  ]\n}\n");
   std::fclose(json);
   std::printf("wrote BENCH_fdd_arena.json\n\n");
-  if (!all_identical) {
-    std::fprintf(stderr,
-                 "FAIL: arena and tree pipelines disagree on discrepancies\n");
-  }
-  return all_identical;
+  return true;
 }
 
 // -- Observability smoke session ---------------------------------------------

@@ -8,21 +8,16 @@
 #include "diverse/workflow.hpp"
 #include "fw/format.hpp"
 #include "fw/parser.hpp"
-#include "rt/executor.hpp"
 
 int main() {
   using namespace dfw;
   const Schema schema = five_tuple_schema();
   DecisionSet decisions;  // accept/discard
 
-  // Session options: method-1 resolution seeded from green's rules, and a
-  // worker pool for the comparison phase (results are identical to
-  // serial; drop the executor field to run on the calling thread only).
-  Executor pool(Executor::hardware_threads());
+  // Session options: method-1 resolution seeded from green's rules.
   WorkflowOptions options;
   options.resolution = ResolutionMethod::kCorrectedFdd;
   options.base_team = 1;
-  options.run.executor = &pool;
   DiverseDesign session(decisions, options);
 
   // Phase 1 — design. The spec: web (80/443, TCP) to 10.1.0.0/24 is open;

@@ -14,18 +14,10 @@
 #include "adapters/iptables.hpp"
 #include "diverse/discrepancy.hpp"
 #include "fdd/compare.hpp"
-#include "rt/executor.hpp"
 
 int main() {
   using namespace dfw;
   const DecisionSet& decisions = default_decisions();
-
-  // Audits share one two-worker pool: each pairwise pipeline builds its
-  // FDDs concurrently (output is identical to serial).
-  Executor pool(2);
-  CompareOptions compare_options;
-  compare_options.run.executor = &pool;
-  compare_options.fork_threshold = 4;
 
   // The router configuration being retired.
   const Policy router = parse_cisco_acl(
@@ -49,7 +41,7 @@ int main() {
 
   std::cout << "== Faithful translation ==\n";
   const std::vector<Discrepancy> clean =
-      discrepancies(router, faithful, compare_options);
+      discrepancies(router, faithful);
   std::cout << format_discrepancy_report(router.schema(), decisions, clean,
                                          {"cisco", "iptables"})
             << "\n";
@@ -70,7 +62,7 @@ int main() {
 
   std::cout << "== Buggy translation ==\n";
   const std::vector<Discrepancy> diffs =
-      discrepancies(router, buggy, compare_options);
+      discrepancies(router, buggy);
   std::cout << format_discrepancy_report(router.schema(), decisions, diffs,
                                          {"cisco", "iptables"});
   std::cout << "\nverdict: "

@@ -6,9 +6,7 @@
 #include "diverse/discrepancy.hpp"
 #include "gen/redundancy.hpp"
 #include "obs/metrics.hpp"
-#include "rt/executor.hpp"
 #include "rt/fault.hpp"
-#include "rt/parallel.hpp"
 
 namespace dfw {
 namespace {
@@ -168,56 +166,54 @@ CompareOutcome DiverseDesign::compare_governed() const {
 
 std::vector<PairwiseReport> DiverseDesign::cross_compare() const {
   require_two_teams("cross_compare");
-  ScopedSpan span(options_.run.obs.tracer, "workflow.cross_compare", "teams",
+  const ObsOptions& obs = options_.run.obs;
+  RunContext* ctx = options_.run.context;
+  ScopedSpan span(obs.tracer, "workflow.cross_compare", "teams",
                   policies_.size());
-  std::vector<std::pair<std::size_t, std::size_t>> pairs;
-  pairs.reserve(policies_.size() * (policies_.size() - 1) / 2);
+  ArenaStatsDelta delta(*arena_, obs.metrics);
+  // Each pair shapes and compares the two stored roots in the session
+  // arena: no team's diagram is rebuilt, and the arena's memo caches carry
+  // over from pair to pair.
+  std::vector<PairwiseReport> reports;
+  reports.reserve(policies_.size() * (policies_.size() - 1) / 2);
   for (std::size_t a = 0; a < policies_.size(); ++a) {
     for (std::size_t b = a + 1; b < policies_.size(); ++b) {
-      pairs.emplace_back(a, b);
+      ScopedSpan pair_span(obs.tracer, "pair", "team_a", a, "team_b", b);
+      PairwiseReport& report = reports.emplace_back();
+      report.team_a = a;
+      report.team_b = b;
+      const auto compare_pair = [&] {
+        std::pair<ArenaNodeId, ArenaNodeId> shaped;
+        {
+          PhaseSpan phase(obs, "shape");
+          shaped = arena_->shape_pair(roots_[a], roots_[b]);
+        }
+        PhaseSpan phase(obs, "compare");
+        arena_->compare_into({shaped.first, shaped.second},
+                             report.discrepancies);
+      };
+      if (ctx == nullptr) {
+        compare_pair();
+        continue;
+      }
+      // Governed session: each pair absorbs its own governance cut into a
+      // per-pair status, so one breached pair never torpedoes the others'
+      // reports. A pair starting after the shared context already aborted
+      // is marked with the abort's cause without doing any work.
+      if (ctx->aborted()) {
+        report.complete = false;
+        report.status = ctx->abort_code();
+        continue;
+      }
+      try {
+        compare_pair();
+      } catch (const Error& e) {
+        report.complete = false;
+        report.status = e.code();
+      }
     }
   }
-  // Each pair is an independent construct->shape->compare pipeline; run
-  // them as pool tasks. The pair pipelines get a serial CompareOptions so
-  // the pool's threads each own one whole pipeline instead of contending
-  // over intra-pair subtasks; each task then builds in its own task-local
-  // arena.
-  Executor& ex = executor_or_inline(options_.run);
-  CompareOptions pair_options;
-  pair_options.run.context = options_.run.context;
-  pair_options.run.obs = options_.run.obs;
-  pair_options.fork_threshold = options_.fork_threshold;
-  const auto run_pair = [&](std::size_t i) {
-    const auto [a, b] = pairs[i];
-    // One span per unordered pair, on whichever pool thread runs it; the
-    // pair's construct/shape/compare phase spans nest inside.
-    ScopedSpan pair_span(options_.run.obs.tracer, "pair", "team_a", a, "team_b",
-                         b);
-    if (options_.run.context == nullptr) {
-      return PairwiseReport{
-          a, b, discrepancies(policies_[a], policies_[b], pair_options)};
-    }
-    // Governed session: each pair absorbs its own governance cut into a
-    // per-pair status, so one breached pair never torpedoes the others'
-    // reports. A pair starting after the shared context already aborted
-    // is marked cancelled without doing any work.
-    PairwiseReport report;
-    report.team_a = a;
-    report.team_b = b;
-    if (options_.run.context->aborted()) {
-      report.complete = false;
-      report.status = options_.run.context->abort_code();
-      return report;
-    }
-    CompareOutcome outcome =
-        discrepancies_governed(policies_[a], policies_[b], pair_options);
-    report.discrepancies = std::move(outcome.discrepancies);
-    report.complete = outcome.complete;
-    report.status = outcome.status;
-    return report;
-  };
-  return parallel_map<PairwiseReport>(ex, pairs.size(), run_pair, nullptr,
-                                      options_.run.obs);
+  return reports;
 }
 
 std::string DiverseDesign::report() const {

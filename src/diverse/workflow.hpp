@@ -14,10 +14,12 @@
 // perturbed from a common base share interned nodes, and the arena's memo
 // caches carry over from one phase to the next.
 //
+// Cross comparison (Section 7.3) runs over the same stored diagrams: each
+// pair shapes and compares its two teams' roots in the session arena.
+//
 // Session-wide knobs travel in WorkflowOptions: the resolution method and
-// base team, the comparison mode the report uses, and the executor cross
-// comparison runs on. A session is single-threaded, like its arena: call
-// one member at a time.
+// base team, and the comparison mode the report uses. A session is
+// single-threaded, like its arena: call one member at a time.
 
 #pragma once
 
@@ -35,8 +37,6 @@
 
 namespace dfw {
 
-class Executor;
-
 /// Which resolution method generates the final firewall (Section 6).
 enum class ResolutionMethod {
   kCorrectedFdd,   ///< method 1: correct an FDD, regenerate rules
@@ -53,30 +53,27 @@ enum class ComparisonMode {
 /// Session-wide options for a DiverseDesign run.
 struct WorkflowOptions {
   /// Shared execution knobs (rt/run_options.hpp), honoured by the whole
-  /// session. `run.executor` (borrowed; null = serial) drives cross
-  /// comparison, which runs its K(K-1)/2 pairs as independent tasks with
-  /// output identical to serial; direct comparison and resolution work on
-  /// the session arena and stay serial. `run.context` (borrowed,
-  /// nullable) governs submission builds, comparison, and resolution
-  /// alike: with a context set, cross_compare() reports per-pair status
-  /// instead of throwing and compare_governed() returns partial results;
-  /// the plain entry points let the dfw::Error propagate. `run.faults`
-  /// (borrowed, nullable) is hit at the construct phase of every submit
-  /// and at every node the session arena materialises. `run.obs`
-  /// (borrowed, nullable sinks) observes the session: submissions run
-  /// under "workflow.submit" spans holding the "construct" and "validate"
-  /// phases, the comparison phase under "workflow.compare" (the "shape"
-  /// and "compare" phases) or "workflow.cross_compare" with one "pair"
-  /// span per unordered pair, and resolution under "workflow.resolve"
-  /// (the "generate" phase for method 1). The session arena's counters
-  /// land in the registry once per operation, as that operation's delta.
+  /// session. `run.executor` drives nothing: every phase works on the
+  /// session arena, serially. `run.context` (borrowed, nullable) governs
+  /// submission builds, comparison, and resolution alike: with a context
+  /// set, cross_compare() reports per-pair status instead of throwing and
+  /// compare_governed() returns partial results; the plain entry points
+  /// let the dfw::Error propagate. `run.faults` (borrowed, nullable) is
+  /// hit at the construct phase of every submit and at every node the
+  /// session arena materialises. `run.obs` (borrowed, nullable sinks)
+  /// observes the session: submissions run under "workflow.submit" spans
+  /// holding the "construct" and "validate" phases, the comparison phase
+  /// under "workflow.compare" (the "shape" and "compare" phases) or
+  /// "workflow.cross_compare" with one "pair" span per unordered pair
+  /// (each holding its own "shape" and "compare" phases), and resolution
+  /// under "workflow.resolve" (the "generate" phase for method 1). The
+  /// session arena's counters land in the registry once per operation, as
+  /// that operation's delta.
   RunOptions run = {};
   ResolutionMethod resolution = ResolutionMethod::kCorrectedFdd;
   /// Team whose rule sequence seeds the resolution phase.
   std::size_t base_team = 0;
   ComparisonMode comparison = ComparisonMode::kDirect;
-  /// Forwarded to the cross-comparison pipelines (see CompareOptions).
-  std::size_t fork_threshold = 4;
 };
 
 /// One pairwise comparison result from cross comparison. In a governed
@@ -124,8 +121,10 @@ class DiverseDesign {
   CompareOutcome compare_governed() const;
 
   /// Comparison phase, cross comparison: one report per unordered pair,
-  /// ordered (0,1), (0,2), ..., (K-2,K-1). With a pool executor the pairs
-  /// run as independent tasks; the order and contents never change.
+  /// ordered (0,1), (0,2), ..., (K-2,K-1). Each pair shapes and compares
+  /// the two stored diagrams in the session arena, so a report equals
+  /// discrepancies() on the two teams' policies without rebuilding them.
+  /// Not kept: every call compares again.
   std::vector<PairwiseReport> cross_compare() const;
 
   /// Human-readable report, Table-3 style, honouring

@@ -6,17 +6,9 @@
 #include <utility>
 
 #include "fdd/arena.hpp"
-#include "fdd/construct.hpp"
-#include "fdd/shape.hpp"
-#include "rt/executor.hpp"
-#include "rt/parallel.hpp"
 
 namespace dfw {
 namespace {
-
-Executor& resolve_executor(const CompareOptions& options) {
-  return executor_or_inline(options.run);
-}
 
 // Lockstep walk over N semi-isomorphic subtrees accumulating the common
 // path predicate; emits a record at terminals with disagreeing decisions.
@@ -55,52 +47,15 @@ void walk(const Schema& schema, const std::vector<const FddNode*>& nodes,
   conjuncts[first->field] = IntervalSet(schema.domain(first->field));
 }
 
-void compare_impl(const Schema& schema, std::vector<const FddNode*> roots,
-                  const CompareOptions& options,
+void compare_impl(const Schema& schema,
+                  const std::vector<const FddNode*>& roots, RunContext* ctx,
                   std::vector<Discrepancy>& out) {
   std::vector<IntervalSet> conjuncts;
   conjuncts.reserve(schema.field_count());
   for (std::size_t i = 0; i < schema.field_count(); ++i) {
     conjuncts.emplace_back(schema.domain(i));
   }
-  Executor& ex = resolve_executor(options);
-  const FddNode* first = roots.front();
-  if (!ex.is_inline() && !first->is_terminal() &&
-      first->edges.size() >= std::max<std::size_t>(1, options.fork_threshold)) {
-    // Fork the root's subtree recursions as independent tasks. Each task
-    // walks with its own conjunct stack; concatenating the per-edge output
-    // in edge order reproduces the serial depth-first order exactly. The
-    // staging vector lives here, not in parallel_map, so a governed abort
-    // can still flush every completed task's findings into `out`.
-    std::vector<std::vector<Discrepancy>> parts(first->edges.size());
-    const auto flush = [&] {
-      for (std::vector<Discrepancy>& part : parts) {
-        out.insert(out.end(), std::make_move_iterator(part.begin()),
-                   std::make_move_iterator(part.end()));
-      }
-    };
-    try {
-      ex.parallel_for(
-          first->edges.size(),
-          [&](std::size_t e) {
-            std::vector<IntervalSet> local = conjuncts;
-            local[first->field] = first->edges[e].label;
-            std::vector<const FddNode*> children;
-            children.reserve(roots.size());
-            for (const FddNode* n : roots) {
-              children.push_back(n->edges[e].target.get());
-            }
-            walk(schema, children, local, parts[e], options.run.context);
-          },
-          options.run.context, options.run.obs);
-    } catch (...) {
-      flush();
-      throw;
-    }
-    flush();
-    return;
-  }
-  walk(schema, roots, conjuncts, out, options.run.context);
+  walk(schema, roots, conjuncts, out, ctx);
 }
 
 // Whole pipeline on ids: build canonical diagrams, validate, shape, and
@@ -155,7 +110,7 @@ std::vector<Discrepancy> compare_fdds(const Fdd& a, const Fdd& b,
     throw std::invalid_argument("compare_fdds: FDDs are not semi-isomorphic");
   }
   std::vector<Discrepancy> out;
-  compare_impl(a.schema(), {&a.root(), &b.root()}, options, out);
+  compare_impl(a.schema(), {&a.root(), &b.root()}, options.run.context, out);
   return out;
 }
 
@@ -176,56 +131,11 @@ std::vector<Discrepancy> compare_fdds_many(const std::vector<Fdd>& fdds,
     roots.push_back(&f.root());
   }
   std::vector<Discrepancy> out;
-  compare_impl(fdds[0].schema(), std::move(roots), options, out);
+  compare_impl(fdds[0].schema(), roots, options.run.context, out);
   return out;
 }
 
 namespace {
-
-void discrepancies_pair_into(const Policy& a, const Policy& b,
-                             const CompareOptions& options,
-                             std::vector<Discrepancy>& out) {
-  if (options.use_arena && resolve_executor(options).is_inline()) {
-    arena_discrepancies({&a, &b}, options.run.context, options.run.obs, out);
-    return;
-  }
-  // Construction dominates the pipeline (Fig. 13) and the two diagrams
-  // are independent until shaping — with a pool executor they build as
-  // two concurrent tasks. use_arena still applies to construction here:
-  // each task builds through its own task-local arena and expands the
-  // result, which threads fine; only shaping/comparison need the tree.
-  ConstructOptions construct;
-  construct.run.context = options.run.context;
-  construct.run.obs = options.run.obs;
-  construct.use_arena = options.use_arena;
-  const Policy* inputs[2] = {&a, &b};
-  std::vector<Fdd> fdds;
-  {
-    PhaseSpan phase(options.run.obs, "construct");
-    fdds = parallel_map<Fdd>(
-        resolve_executor(options), 2,
-        [&](std::size_t i) {
-          return build_reduced_fdd(*inputs[i], construct);
-        },
-        options.run.context, options.run.obs);
-  }
-  {
-    PhaseSpan phase(options.run.obs, "validate");
-    fdds[0].validate();  // rejects non-comprehensive inputs up front
-    fdds[1].validate();
-  }
-  {
-    PhaseSpan phase(options.run.obs, "shape");
-    shape_pair(fdds[0], fdds[1], options.run.context);
-    if (!semi_isomorphic(fdds[0], fdds[1])) {
-      throw std::invalid_argument(
-          "compare_fdds: FDDs are not semi-isomorphic");
-    }
-  }
-  PhaseSpan phase(options.run.obs, "compare");
-  compare_impl(fdds[0].schema(), {&fdds[0].root(), &fdds[1].root()}, options,
-               out);
-}
 
 void discrepancies_many_into(const std::vector<Policy>& policies,
                              const CompareOptions& options,
@@ -233,52 +143,12 @@ void discrepancies_many_into(const std::vector<Policy>& policies,
   if (policies.empty()) {
     throw std::invalid_argument("discrepancies_many: no policies");
   }
-  if (options.use_arena && resolve_executor(options).is_inline()) {
-    std::vector<const Policy*> inputs;
-    inputs.reserve(policies.size());
-    for (const Policy& p : policies) {
-      inputs.push_back(&p);
-    }
-    arena_discrepancies(inputs, options.run.context, options.run.obs, out);
-    return;
+  std::vector<const Policy*> inputs;
+  inputs.reserve(policies.size());
+  for (const Policy& p : policies) {
+    inputs.push_back(&p);
   }
-  ConstructOptions construct;
-  construct.run.context = options.run.context;
-  construct.run.obs = options.run.obs;
-  construct.use_arena = options.use_arena;
-  std::vector<Fdd> fdds;
-  {
-    PhaseSpan phase(options.run.obs, "construct");
-    fdds = parallel_map<Fdd>(
-        resolve_executor(options), policies.size(),
-        [&](std::size_t i) {
-          return build_reduced_fdd(policies[i], construct);
-        },
-        options.run.context, options.run.obs);
-  }
-  {
-    PhaseSpan phase(options.run.obs, "validate");
-    for (Fdd& f : fdds) {
-      f.validate();
-    }
-  }
-  {
-    PhaseSpan phase(options.run.obs, "shape");
-    shape_all(fdds, options.run.context);
-  }
-  std::vector<const FddNode*> roots;
-  roots.reserve(fdds.size());
-  for (std::size_t i = 1; i < fdds.size(); ++i) {
-    if (!semi_isomorphic(fdds[0], fdds[i])) {
-      throw std::invalid_argument(
-          "compare_fdds_many: FDDs are not pairwise semi-isomorphic");
-    }
-  }
-  for (const Fdd& f : fdds) {
-    roots.push_back(&f.root());
-  }
-  PhaseSpan phase(options.run.obs, "compare");
-  compare_impl(fdds[0].schema(), std::move(roots), options, out);
+  arena_discrepancies(inputs, options.run.context, options.run.obs, out);
 }
 
 CompareOutcome run_governed(
@@ -302,7 +172,7 @@ CompareOutcome run_governed(
 std::vector<Discrepancy> discrepancies(const Policy& a, const Policy& b,
                                        const CompareOptions& options) {
   std::vector<Discrepancy> out;
-  discrepancies_pair_into(a, b, options, out);
+  arena_discrepancies({&a, &b}, options.run.context, options.run.obs, out);
   return out;
 }
 
@@ -316,7 +186,7 @@ std::vector<Discrepancy> discrepancies_many(
 CompareOutcome discrepancies_governed(const Policy& a, const Policy& b,
                                       const CompareOptions& options) {
   return run_governed([&](std::vector<Discrepancy>& out) {
-    discrepancies_pair_into(a, b, options, out);
+    arena_discrepancies({&a, &b}, options.run.context, options.run.obs, out);
   });
 }
 

@@ -23,8 +23,6 @@
 
 namespace dfw {
 
-class Executor;
-
 /// One functional discrepancy: a predicate (one value set per schema
 /// field) plus the decision each compared firewall assigns to packets
 /// matching it. decisions.size() equals the number of compared firewalls,
@@ -38,30 +36,20 @@ struct Discrepancy {
 
 /// Options threaded through the comparison pipeline.
 struct CompareOptions {
-  /// Shared execution knobs (rt/run_options.hpp). `run.executor`: with a
-  /// pool, the constructions run concurrently and the comparison walk
-  /// forks; results are identical for every executor. `run.context`:
+  /// Shared execution knobs (rt/run_options.hpp). `run.context`:
   /// cancellation, deadline, and resource budgets observed throughout the
   /// pipeline — construction charges nodes, shaping charges
   /// inserted/cloned nodes, and the comparison walk takes amortized
   /// checkpoints. The vector-returning entry points let a breach propagate
   /// as dfw::Error; the *_governed entry points catch it and return the
   /// discrepancies found so far with complete=false. `run.obs`: the
-  /// pipelines emit phase spans — "construct", "validate", "shape",
-  /// "compare" — plus per-policy "build_reduced_fdd" spans and per-chunk
-  /// "chunk" spans under a pool executor, and record phase durations into
-  /// the registry ("phase.<name>_ns"); arena pipelines absorb their
-  /// ArenaStats into the registry on completion.
+  /// discrepancies pipelines emit phase spans — "construct", "validate",
+  /// "shape", "compare" — plus per-policy "build_reduced_fdd" spans, record
+  /// phase durations into the registry ("phase.<name>_ns"), and absorb
+  /// their arena's ArenaStats into it. `run.executor` does not affect a
+  /// comparison: one comparison runs serially on one arena (callers
+  /// parallelise across comparisons, as the fleet pipeline does).
   RunOptions run = {};
-  /// Minimum outgoing edges at an FDD root before the comparison walk
-  /// forks its top-level subtrees as independent pool tasks.
-  std::size_t fork_threshold = 4;
-  /// Run the discrepancies pipelines arena-native (fdd/arena.hpp):
-  /// construct, shape, and compare on hash-consed node ids, with memoised
-  /// shaping and identical-subdiagram pruning, never expanding a tree.
-  /// Output is identical either way. An arena is single-threaded, so a
-  /// pool executor always takes the tree path regardless of this flag.
-  bool use_arena = true;
 };
 
 /// Result of a governed comparison. When `complete` is false the pipeline
@@ -86,14 +74,15 @@ std::vector<Discrepancy> compare_fdds(const Fdd& a, const Fdd& b,
 std::vector<Discrepancy> compare_fdds_many(const std::vector<Fdd>& fdds,
                                            const CompareOptions& options = {});
 
-/// Full pipeline on policies: construct, shape, compare. Policies must be
-/// comprehensive and share a schema. With a pool executor the two FDDs
-/// are constructed concurrently and the comparison walk forks.
+/// Full pipeline on policies: construct, shape, compare, on ids in one
+/// hash-consed FddArena (fdd/arena.hpp) that never expands a tree; the
+/// output equals compare_fdds over the shaped reduced trees. Policies
+/// must be comprehensive and share a schema.
 std::vector<Discrepancy> discrepancies(const Policy& a, const Policy& b,
                                        const CompareOptions& options = {});
 
-/// N-way full pipeline using direct comparison (Section 7.3). With a pool
-/// executor the N constructions run as independent pool tasks.
+/// N-way full pipeline using direct comparison (Section 7.3), in one
+/// arena like discrepancies().
 std::vector<Discrepancy> discrepancies_many(
     const std::vector<Policy>& policies, const CompareOptions& options = {});
 

@@ -4,7 +4,6 @@
 
 #include "fdd/arena.hpp"
 #include "fdd/node.hpp"
-#include "fdd/reduce.hpp"
 #include "rt/fault.hpp"
 #include "rt/govern.hpp"
 
@@ -150,37 +149,12 @@ Fdd build_reduced_fdd(const Policy& policy,
   // Phase-boundary fault site: fires before any construction state
   // exists, modelling a failure at the hand-off into this phase.
   fault::hit(options.run.faults, fault::sites::kConstructPhase);
-  if (options.use_arena) {
-    FddArena arena(policy.schema());
-    arena.set_context(options.run.context);
-    arena.set_faults(options.run.faults);
-    Fdd fdd = arena.to_fdd(arena.build_reduced(policy));
-    if (options.run.obs.metrics != nullptr) {
-      absorb(*options.run.obs.metrics, arena.stats());
-    }
-    return fdd;
-  }
-  Fdd fdd(policy.schema(),
-          build_path(policy.schema(), policy.rule(0), 0, options.run.context));
-  // Reduce whenever the diagram outgrows a budget proportional to the
-  // rules consumed: appends then always run against a near-minimal tree,
-  // which is what keeps million-path intermediates from ever existing.
-  std::size_t budget = 256;
-  for (std::size_t i = 1; i < policy.size(); ++i) {
-    append(policy.schema(), fdd.root_slot(), policy.rule(i), 0,
-           options.run.context);
-    if (fdd.node_count() > budget) {
-      ScopedSpan reduce_span(options.run.obs.tracer, "reduce", "nodes",
-                             fdd.node_count());
-      reduce(fdd);
-      budget = fdd.node_count() * 2 + 256;
-    }
-  }
-  {
-    ScopedSpan reduce_span(options.run.obs.tracer, "reduce", "nodes",
-                           fdd.node_count());
-    fault::hit(options.run.faults, fault::sites::kReducePhase);
-    reduce(fdd);
+  FddArena arena(policy.schema());
+  arena.set_context(options.run.context);
+  arena.set_faults(options.run.faults);
+  Fdd fdd = arena.to_fdd(arena.build_reduced(policy));
+  if (options.run.obs.metrics != nullptr) {
+    absorb(*options.run.obs.metrics, arena.stats());
   }
   return fdd;
 }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "analysis/anomaly.hpp"
-#include "fdd/construct.hpp"
 #include "lint/passes.hpp"
 #include "simplify/simplify.hpp"
 
@@ -23,27 +21,39 @@ std::size_t LintReport::count(Severity severity) const {
 PassState::PassState(const LintInput& in, const LintOptions& opts)
     : input(in), options(opts) {
   if (in.facts != nullptr) {
-    fdd_ = in.facts->fdd ? &*in.facts->fdd : nullptr;
+    fdd_ = &in.facts->fdd;
     dead_ = &in.facts->dead_rules;
   }
 }
 
+void PassState::build() {
+  const Policy& policy = *input.policy;
+  ScopedSpan span(options.run.obs.tracer, "build_reduced_fdd", "rules",
+                  policy.size());
+  auto arena = std::make_unique<FddArena>(policy.schema());
+  arena->set_context(options.run.context);
+  std::vector<std::size_t> dead;
+  root_ = arena->build_reduced(policy, &dead);
+  if (options.run.obs.metrics != nullptr) {
+    absorb(*options.run.obs.metrics, arena->stats());
+  }
+  arena_ = std::move(arena);
+  dead_ = &owned_dead_.emplace(std::move(dead));
+}
+
 const Fdd& PassState::fdd() {
   if (fdd_ == nullptr) {
-    ConstructOptions construct;
-    construct.run.context = options.run.context;
-    construct.run.obs = options.run.obs;
-    fdd_ = &owned_fdd_.emplace(build_reduced_fdd(*input.policy, construct));
+    if (arena_ == nullptr) {
+      build();
+    }
+    fdd_ = &owned_fdd_.emplace(arena_->to_fdd(root_));
   }
   return *fdd_;
 }
 
 const std::vector<std::size_t>& PassState::dead_rules() {
   if (dead_ == nullptr) {
-    AnomalyOptions scan;
-    scan.run.context = options.run.context;
-    scan.run.obs = options.run.obs;
-    dead_ = &owned_dead_.emplace(dfw::dead_rules(*input.policy, scan));
+    build();
   }
   return *dead_;
 }

@@ -18,11 +18,13 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "adapters/diag.hpp"
 #include "analysis/property.hpp"
+#include "fdd/arena.hpp"
 #include "lint/diagnostic.hpp"
 #include "obs/obs.hpp"
 #include "rt/govern.hpp"
@@ -91,6 +93,9 @@ struct LintReport {
 /// Shared lazily-built per-run state handed to every pass. The reduced
 /// FDD and the dead rules of the policy are computed (governed) on first
 /// use and reused by every later pass in the run; input.facts seeds them.
+/// Without facts, both come from one arena build of the policy
+/// (FddArena::build_reduced with its dead-rule scan), expanded into the
+/// tree only when a pass asks for fdd().
 class PassState {
  public:
   PassState(const LintInput& input, const LintOptions& options);
@@ -112,9 +117,14 @@ class PassState {
   const LintOptions& options;
 
  private:
+  // Builds the policy in arena_ and fills dead_ (no facts given).
+  void build();
+
   // Memo slots: null until computed (owned_*) or seeded from input.facts.
   const Fdd* fdd_ = nullptr;
   const std::vector<std::size_t>* dead_ = nullptr;
+  std::unique_ptr<FddArena> arena_;  // null until build()
+  ArenaNodeId root_ = 0;
   std::optional<Fdd> owned_fdd_;
   std::optional<std::vector<std::size_t>> owned_dead_;
   bool checked_complete_ = false;

@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "rt/govern.hpp"
-#include "rt/run_options.hpp"
 
 namespace dfw {
 
@@ -72,11 +71,6 @@ Executor& Executor::inline_executor() {
 
 std::size_t Executor::hardware_threads() {
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
-}
-
-Executor& executor_or_inline(const RunOptions& run) {
-  return run.executor != nullptr ? *run.executor
-                                 : Executor::inline_executor();
 }
 
 void Executor::enqueue_helpers(Batch& batch, std::size_t count) {

@@ -42,7 +42,7 @@ class RunContext;
 struct ExecutorMetrics {
   std::uint64_t tasks_run = 0;  ///< claimed work chunks executed
   std::uint64_t steals = 0;     ///< tasks taken from another worker's deque
-  std::uint64_t batches = 0;    ///< parallel_for / parallel_map invocations
+  std::uint64_t batches = 0;    ///< parallel_for invocations
   double busy_ms = 0.0;         ///< wall time inside tasks, summed over threads
 };
 

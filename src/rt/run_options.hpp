@@ -50,7 +50,4 @@ struct RunOptions {
   FaultPlan* faults = nullptr;
 };
 
-/// The executor `run` names, or the shared inline (serial) executor.
-Executor& executor_or_inline(const RunOptions& run);
-
 }  // namespace dfw

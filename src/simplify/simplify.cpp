@@ -179,22 +179,15 @@ bool coalesce_runs(const Schema& schema, std::vector<Rule>& rules,
 /// unique, so root-id equality decides equivalence outright (for partial
 /// functions too). The explicit shape + compare walk is run as the
 /// reportable artifact: a proven rewrite shows zero discrepancies from the
-/// same comparison machinery the paper's cross-team pipeline uses. A
-/// proven rewrite leaves the simplified policy's reduced FDD, expanded
-/// from the arena, in `*reduced` (nullable).
+/// same comparison machinery the paper's cross-team pipeline uses.
 ProofStatus prove(FddArena& arena, ArenaNodeId a, ArenaNodeId b,
-                  SimplifyReport& report, std::optional<Fdd>* reduced) {
+                  SimplifyReport& report) {
   if (a == b) {
     const auto shaped = arena.shape_pair(a, b);
     report.proof_discrepancies =
         arena.compare({shaped.first, shaped.second}).size();
-    if (report.proof_discrepancies != 0) {
-      return ProofStatus::kRefuted;
-    }
-    if (reduced != nullptr) {
-      reduced->emplace(arena.to_fdd(b));
-    }
-    return ProofStatus::kProven;
+    return report.proof_discrepancies == 0 ? ProofStatus::kProven
+                                           : ProofStatus::kRefuted;
   }
   // Distinct canonical roots refute equivalence by themselves; the
   // comparison walk is attempted for witness discrepancies, but partial
@@ -250,12 +243,11 @@ SimplifyOutcome simplify_policy(const Policy& policy,
     FddArena arena(schema);
     arena.set_context(ctx);
     // The roots of the original and of the returned rules, when a scan
-    // built them: the first round's and the unchanged last round's.
+    // built them: the first round's and the unchanged last round's. A
+    // round that changes nothing leaves `rules` as it found them, so when
+    // it ran dead elimination the result has no dead rule.
     std::optional<ArenaNodeId> original_root;
     std::optional<ArenaNodeId> final_root;
-    // A round that changes nothing leaves `rules` as it found them, so
-    // when it ran dead elimination the result has no dead rule.
-    std::optional<PolicyFacts> facts;
     for (std::size_t round = 0; round < options.max_passes; ++round) {
       bool changed = false;
       std::optional<ArenaNodeId> root;
@@ -273,35 +265,35 @@ SimplifyOutcome simplify_policy(const Policy& policy,
         changed = coalesce_runs(schema, rules, ctx, report.stats) || changed;
       }
       if (!changed) {
-        if (options.eliminate_dead) {
-          facts.emplace();
-          final_root = root;
-        }
+        final_root = root;
         break;
       }
       ++report.passes;
     }
 
     Policy simplified(schema, rules);
-    if (report.passes == 0) {
-      // Untouched: nothing to prove, nothing to count.
-      return {std::move(simplified), report, std::move(facts)};
-    }
-    if (options.prove) {
+    if (report.passes > 0 && options.prove) {
       // Build only what the scans did not: the original without dead
       // elimination, the result when max_passes cut the fixpoint short.
       const ArenaNodeId a =
           original_root ? *original_root : arena.build_reduced(policy);
       const ArenaNodeId b =
           final_root ? *final_root : arena.build_reduced(simplified);
-      report.proof =
-          prove(arena, a, b, report, facts ? &facts->fdd : nullptr);
+      report.proof = prove(arena, a, b, report);
       if (report.proof == ProofStatus::kRefuted) {
         // A refuted proof means a transform is unsound (an internal bug):
         // fail safe by handing back the input untouched.
         report.rules_after = report.rules_before;
         return {policy, report, std::nullopt};
       }
+    }
+    std::optional<PolicyFacts> facts;
+    if (final_root) {
+      facts.emplace(PolicyFacts{{}, arena.to_fdd(*final_root)});
+    }
+    if (report.passes == 0) {
+      // Untouched: nothing to prove, nothing to count.
+      return {std::move(simplified), report, std::move(facts)};
     }
     report.rules_after = simplified.size();
     if (MetricsRegistry* metrics = options.run.obs.metrics) {

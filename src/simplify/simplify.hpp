@@ -122,15 +122,17 @@ struct SimplifyReport {
 };
 
 /// Facts simplify_policy established about the policy it returned, for
-/// analyses of that same policy to reuse (lint::LintInput::facts).
+/// analyses of that same policy to reuse (lint::LintInput::facts). Facts
+/// exist only when the fixpoint ended on a round whose dead elimination
+/// removed nothing and no other transform changed the rules: that round's
+/// scan built exactly the returned policy.
 struct PolicyFacts {
   /// Indices (ascending) of the policy's dead rules, as dead_rules()
-  /// reports them. Facts exist only when the fixpoint ended on a round
-  /// whose dead elimination removed nothing, so this is empty.
+  /// reports them; empty, since the last scan found none.
   std::vector<std::size_t> dead_rules;
-  /// The policy's reduced FDD, expanded from the pass's arena; set iff
-  /// the proof is kProven. Identical to build_reduced_fdd(policy).
-  std::optional<Fdd> fdd;
+  /// The policy's reduced FDD, expanded from the last scan's root in the
+  /// pass's arena. Identical to build_reduced_fdd(policy).
+  Fdd fdd;
 };
 
 /// The outcome: the (possibly) simplified policy plus the report. When

@@ -22,24 +22,6 @@
 namespace dfw {
 namespace {
 
-CompareOptions arena_options() {
-  CompareOptions o;
-  o.use_arena = true;
-  return o;
-}
-
-CompareOptions tree_options() {
-  CompareOptions o;
-  o.use_arena = false;
-  return o;
-}
-
-ConstructOptions tree_construct() {
-  ConstructOptions o;
-  o.use_arena = false;
-  return o;
-}
-
 Packet random_packet(const Schema& schema, std::mt19937_64& rng) {
   Packet p(schema.field_count());
   for (std::size_t f = 0; f < schema.field_count(); ++f) {
@@ -99,12 +81,12 @@ TEST(FddArena, CanonicalMergesAndSplices) {
 
 TEST(FddArena, BuildReducedMatchesTreeReducedPipeline) {
   // Canonical-by-construction must land on the same diagram as the tree
-  // pipeline's interleaved reduce: the reduced ordered FDD is unique.
+  // pipeline's reduce(build_fdd()): the reduced ordered FDD is unique.
   std::mt19937_64 rng(7);
   for (int round = 0; round < 40; ++round) {
     const Schema schema = round % 2 == 0 ? test::tiny2() : test::tiny3();
     const Policy policy = test::random_policy(schema, 8, rng);
-    const Fdd tree = build_reduced_fdd(policy, tree_construct());
+    const Fdd tree = test::tree_reduced_fdd(policy);
     FddArena arena(schema);
     const ArenaNodeId root = arena.build_reduced(policy);
     const Fdd expanded = arena.to_fdd(root);
@@ -122,8 +104,7 @@ TEST(FddArena, DefaultBuildReducedFddUsesArenaAndMatchesTreePath) {
   for (int round = 0; round < 10; ++round) {
     const Policy policy = test::random_policy(test::tiny3(), 10, rng);
     EXPECT_TRUE(structurally_equal(build_reduced_fdd(policy),
-                                   build_reduced_fdd(policy,
-                                                     tree_construct())));
+                                   test::tree_reduced_fdd(policy)));
   }
 }
 
@@ -131,7 +112,7 @@ TEST(FddArena, TreeRoundTripIsLossless) {
   std::mt19937_64 rng(3);
   for (int round = 0; round < 20; ++round) {
     const Policy policy = test::random_policy(test::tiny2(), 6, rng);
-    const Fdd tree = build_reduced_fdd(policy, tree_construct());
+    const Fdd tree = test::tree_reduced_fdd(policy);
     FddArena arena(tree.schema());
     const ArenaNodeId root = arena.from_tree(tree.root());
     EXPECT_TRUE(structurally_equal(arena.to_fdd(root), tree));
@@ -273,16 +254,14 @@ TEST(FddArenaEquivalence, PairwiseDiscrepanciesMatchTreePipeline) {
     config.num_rules = 20 + static_cast<std::size_t>(round % 30);
     const Policy a = synth_policy(config, rng);
     const Policy b = perturb_policy(a, 20.0, rng);
-    const std::vector<Discrepancy> via_arena =
-        discrepancies(a, b, arena_options());
-    const std::vector<Discrepancy> via_tree =
-        discrepancies(a, b, tree_options());
+    const std::vector<Discrepancy> via_arena = discrepancies(a, b);
+    const std::vector<Discrepancy> via_tree = test::tree_discrepancies({a, b});
     ASSERT_EQ(via_arena, via_tree) << "round " << round;
 
     // Decision-for-decision agreement under packet sampling.
     FddArena arena(a.schema());
     const ArenaNodeId root = arena.build_reduced(a);
-    const Fdd tree = build_reduced_fdd(a, tree_construct());
+    const Fdd tree = test::tree_reduced_fdd(a);
     for (int s = 0; s < 20; ++s) {
       const Packet p = random_packet(a.schema(), packet_rng);
       const Decision expected = a.evaluate(p);
@@ -300,8 +279,7 @@ TEST(FddArenaEquivalence, NWayDiscrepanciesMatchTreePipeline) {
     const Policy a = synth_policy(config, rng);
     std::vector<Policy> teams{a, perturb_policy(a, 15.0, rng),
                               perturb_policy(a, 30.0, rng)};
-    EXPECT_EQ(discrepancies_many(teams, arena_options()),
-              discrepancies_many(teams, tree_options()))
+    EXPECT_EQ(discrepancies_many(teams), test::tree_discrepancies(teams))
         << "round " << round;
   }
 }
@@ -314,7 +292,7 @@ TEST(FddArenaEquivalence, GeneratedPoliciesStayEquivalent) {
   for (int round = 0; round < 20; ++round) {
     const Schema schema = test::tiny3();
     const Policy policy = test::random_policy(schema, 9, rng);
-    const Fdd fdd = build_reduced_fdd(policy, tree_construct());
+    const Fdd fdd = test::tree_reduced_fdd(policy);
     const Policy generated = generate_policy(fdd);
     for (const Packet& p : test::all_packets(schema)) {
       EXPECT_EQ(generated.evaluate(p), policy.evaluate(p));
@@ -410,7 +388,7 @@ TEST(FddArenaTables, ReinternReturnsOriginalIdsAcrossTableGrowth) {
   for (const Policy& policy : policies) {
     const ArenaNodeId root = arena.build_reduced(policy);
     EXPECT_TRUE(structurally_equal(
-        arena.to_fdd(root), build_reduced_fdd(policy, tree_construct())));
+        arena.to_fdd(root), test::tree_reduced_fdd(policy)));
     expect_counts_balance(arena.stats());
   }
   ASSERT_GT(arena.unique_node_count(), 2000u);
@@ -457,9 +435,8 @@ TEST(FddArenaTables, NodeBudgetBreachMidAppendLeavesTablesConsistent) {
   // The unwound append left nothing behind that a fresh build could trip
   // over: the same sequence of node creations resumes to the same root.
   EXPECT_EQ(arena.build_reduced(policies[1]), expected_root);
-  EXPECT_TRUE(structurally_equal(
-      arena.to_fdd(expected_root),
-      build_reduced_fdd(policies[1], tree_construct())));
+  EXPECT_TRUE(structurally_equal(arena.to_fdd(expected_root),
+                                 test::tree_reduced_fdd(policies[1])));
 }
 
 }  // namespace

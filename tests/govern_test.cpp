@@ -70,24 +70,20 @@ Policy constant_policy(Decision d) {
 
 TEST(GovernTest, WorstCasePairUnderNodeBudgetFailsFastWithPartialReport) {
   // With hash-consing the symmetric adversarial geometry costs ~(2n-1)^2
-  // arena nodes (the tree path pays the full (2n-1)^3 bound), so n = 128
-  // wants ~65k nodes on both paths — far past the 10k budget.
+  // arena nodes, so n = 128 wants ~65k nodes — far past the 10k budget.
   const Policy a = adversarial(128, false);
   const Policy b = adversarial(128, true);
-  for (const bool use_arena : {true, false}) {
-    RunContext ctx = RunContext::with_budgets({.max_nodes = 10000});
-    CompareOptions options;
-    options.use_arena = use_arena;
-    options.run.context = &ctx;
-    const auto start = Clock::now();
-    const CompareOutcome outcome = discrepancies_governed(a, b, options);
-    const double elapsed = ms_since(start);
-    EXPECT_FALSE(outcome.complete) << "use_arena=" << use_arena;
-    EXPECT_EQ(outcome.status, ErrorCode::kNodeBudgetExceeded);
-    EXPECT_FALSE(outcome.message.empty());
-    EXPECT_LT(elapsed, 1000.0) << "use_arena=" << use_arena;
-    EXPECT_GT(ctx.nodes_charged(), 10000u);
-  }
+  RunContext ctx = RunContext::with_budgets({.max_nodes = 10000});
+  CompareOptions options;
+  options.run.context = &ctx;
+  const auto start = Clock::now();
+  const CompareOutcome outcome = discrepancies_governed(a, b, options);
+  const double elapsed = ms_since(start);
+  EXPECT_FALSE(outcome.complete);
+  EXPECT_EQ(outcome.status, ErrorCode::kNodeBudgetExceeded);
+  EXPECT_FALSE(outcome.message.empty());
+  EXPECT_LT(elapsed, 1000.0);
+  EXPECT_GT(ctx.nodes_charged(), 10000u);
 }
 
 TEST(GovernTest, LabelBudgetAlsoCutsTheArenaPipeline) {
@@ -104,24 +100,20 @@ TEST(GovernTest, LabelBudgetAlsoCutsTheArenaPipeline) {
 // ---------------------------------------------------------------------------
 // Governance off (null context or no budgets) must be invisible.
 
-TEST(GovernTest, NoBudgetsProducesIdenticalOutputOnBothPaths) {
+TEST(GovernTest, NoBudgetsProducesIdenticalOutput) {
   const Policy a = adversarial(8, false);
   const Policy b = adversarial(8, true);
-  for (const bool use_arena : {true, false}) {
-    CompareOptions plain;
-    plain.use_arena = use_arena;
-    const std::vector<Discrepancy> expected = discrepancies(a, b, plain);
-    ASSERT_FALSE(expected.empty());
+  const std::vector<Discrepancy> expected = discrepancies(a, b);
+  ASSERT_FALSE(expected.empty());
 
-    RunContext ctx;  // no budgets, no deadline, no cancellation
-    CompareOptions governed = plain;
-    governed.run.context = &ctx;
-    const CompareOutcome outcome = discrepancies_governed(a, b, governed);
-    EXPECT_TRUE(outcome.complete) << "use_arena=" << use_arena;
-    EXPECT_EQ(outcome.status, ErrorCode::kOk);
-    EXPECT_TRUE(outcome.message.empty());
-    EXPECT_EQ(outcome.discrepancies, expected) << "use_arena=" << use_arena;
-  }
+  RunContext ctx;  // no budgets, no deadline, no cancellation
+  CompareOptions governed;
+  governed.run.context = &ctx;
+  const CompareOutcome outcome = discrepancies_governed(a, b, governed);
+  EXPECT_TRUE(outcome.complete);
+  EXPECT_EQ(outcome.status, ErrorCode::kOk);
+  EXPECT_TRUE(outcome.message.empty());
+  EXPECT_EQ(outcome.discrepancies, expected);
 }
 
 TEST(GovernTest, GeneratedPolicyIdenticalWithIdleContext) {
@@ -225,38 +217,46 @@ TEST(GovernTest, CancellationCutsALongComparisonShort) {
 // ---------------------------------------------------------------------------
 // Cross comparison: one shared budget, per-pair status.
 
+// Nodes a governed kCross session charges for submitting `teams`, and
+// then for one cross_compare() over them. Deterministic, so a session over
+// the same teams charges exactly the same.
+std::pair<std::size_t, std::size_t> cross_session_cost(
+    const std::vector<Policy>& teams) {
+  RunContext probe;
+  WorkflowOptions options;
+  options.comparison = ComparisonMode::kCross;
+  options.run.context = &probe;
+  DiverseDesign session(default_decisions(), options);
+  for (const Policy& team : teams) {
+    session.submit("t", team);
+  }
+  const std::size_t submitted = probe.nodes_charged();
+  (void)session.cross_compare();
+  return {submitted, probe.nodes_charged() - submitted};
+}
+
 TEST(GovernTest, CrossCompareReportsPerPairStatusUnderSharedBudget) {
   const Policy trivial_a = constant_policy(kAccept);
   const Policy trivial_b = constant_policy(kDiscard);
   const Policy heavy = adversarial(16, false);
 
-  // Probe 1: node cost of submitting all three teams (construction runs
-  // once per submit for validation). Deterministic, so the real run
-  // charges exactly the same.
-  RunContext submit_probe;
-  WorkflowOptions probe_options;
-  probe_options.comparison = ComparisonMode::kCross;
-  probe_options.run.context = &submit_probe;
-  DiverseDesign probe(default_decisions(), probe_options);
-  probe.submit("a", trivial_a);
-  probe.submit("b", trivial_b);
-  probe.submit("heavy", heavy);
-  const std::size_t submit_cost = submit_probe.nodes_charged();
+  // Submissions build every team's diagram once; each pair then only
+  // shapes and compares in the session arena. The trivial pair costs what
+  // a session of those two teams pays to compare them, and the heavy pair
+  // (0,2) what a session of teams 0 and 2 pays.
+  const std::size_t submit_cost =
+      cross_session_cost({trivial_a, trivial_b, heavy}).first;
+  const std::size_t trivial_pair_cost =
+      cross_session_cost({trivial_a, trivial_b}).second;
+  const std::size_t heavy_pair_cost =
+      cross_session_cost({trivial_a, heavy}).second;
+  ASSERT_GT(heavy_pair_cost, 1u) << "the heavy pair must have work to cut";
 
-  // Probe 2: node cost of the first (trivial) pair's comparison.
-  RunContext pair_probe;
-  CompareOptions pair_options;
-  pair_options.run.context = &pair_probe;
-  const CompareOutcome first_pair =
-      discrepancies_governed(trivial_a, trivial_b, pair_options);
-  ASSERT_TRUE(first_pair.complete);
-  const std::size_t pair_cost = pair_probe.nodes_charged();
-
-  // Budget: submissions + the trivial pair + a margin far below the
-  // adversarial pair's construction cost. Pair (0,1) completes, pair
-  // (0,2) breaches, pair (1,2) is skipped by the sticky abort.
+  // Budget: submissions + the trivial pair + half the heavy pair. Pair
+  // (0,1) completes, pair (0,2) breaches, pair (1,2) is skipped by the
+  // sticky abort.
   RunContext ctx = RunContext::with_budgets(
-      {.max_nodes = submit_cost + pair_cost + 200});
+      {.max_nodes = submit_cost + trivial_pair_cost + heavy_pair_cost / 2});
   WorkflowOptions options;
   options.comparison = ComparisonMode::kCross;
   options.run.context = &ctx;

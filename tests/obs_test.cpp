@@ -13,6 +13,8 @@
 
 #include "diverse/discrepancy.hpp"
 #include "diverse/workflow.hpp"
+#include "engine/classifier.hpp"
+#include "engine/trace.hpp"
 #include "fdd/arena.hpp"
 #include "fdd/compare.hpp"
 #include "fdd/construct.hpp"
@@ -400,7 +402,6 @@ TEST(MetricsTest, AbsorbUnifiesLegacyStructsUnderDottedNames) {
   RunContext context(config);
   Policy policy = synth(20, 3);
   ConstructOptions governed;
-  governed.use_arena = true;
   governed.run.context = &context;
   (void)build_reduced_fdd(policy, governed);
   absorb(registry, context);
@@ -507,17 +508,19 @@ TEST(PipelineObsTest, TracedGenerateEmitsSpanAndRuleCount) {
 }
 
 TEST(PipelineObsTest, PoolExecutorEmitsChunkSpansAndExecutorCounters) {
-  const Policy pa = synth(60, 7);
-  const Policy pb = synth(60, 8);
+  const Policy policy = synth(60, 7);
+  Rng rng(8);
+  const std::vector<Packet> trace = synth_trace(policy, 2000, rng);
+  const Classifier classifier = Classifier::compile(policy);
   Tracer tracer;
   MetricsRegistry registry;
   Executor pool(2);
-  CompareOptions options;
-  options.run.executor = &pool;
-  options.run.obs = ObsOptions{&tracer, &registry};
+  RunOptions run;
+  run.executor = &pool;
+  run.obs = ObsOptions{&tracer, &registry};
 
-  const std::vector<Discrepancy> diffs = discrepancies(pa, pb, options);
-  EXPECT_EQ(diffs, discrepancies(pa, pb));
+  EXPECT_EQ(classifier.classify_batch(trace, run),
+            classifier.classify_batch(trace));
 
   const TraceValidation v = validate_chrome_trace(tracer.chrome_trace_json());
   ASSERT_TRUE(v.ok) << v.error;
@@ -527,15 +530,13 @@ TEST(PipelineObsTest, PoolExecutorEmitsChunkSpansAndExecutorCounters) {
 }
 
 // The acceptance-criterion test: one registry attached to a full governed
-// session carries executor, arena, and governance counters side by side
-// under the unified names.
+// session carries arena and governance counters side by side under the
+// unified names.
 TEST(PipelineObsTest, WorkflowSnapshotUnifiesAllSubsystems) {
-  Executor pool(2);
   RunContext context;  // defaults are unbounded: governance active, no abort
   Tracer tracer;
   MetricsRegistry registry;
   WorkflowOptions options;
-  options.run.executor = &pool;
   options.run.context = &context;
   options.run.obs = ObsOptions{&tracer, &registry};
 
@@ -547,13 +548,11 @@ TEST(PipelineObsTest, WorkflowSnapshotUnifiesAllSubsystems) {
   session.submit("t2", perturb_policy(base, 15.0, rng));
   const std::vector<PairwiseReport> cross = session.cross_compare();
   EXPECT_EQ(cross.size(), 3u);
-  absorb(registry, pool.metrics());
   absorb(registry, context);
 
   const MetricsSnapshot snap = registry.snapshot();
   for (const char* name :
-       {"rt.executor.batches", "fdd.arena.unique_nodes",
-        "rt.govern.nodes_charged"}) {
+       {"fdd.arena.unique_nodes", "rt.govern.nodes_charged"}) {
     EXPECT_TRUE(snap.counters.count(name) != 0) << "missing " << name;
   }
   const TraceValidation v = validate_chrome_trace(tracer.chrome_trace_json());

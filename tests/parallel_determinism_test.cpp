@@ -1,6 +1,6 @@
 // Determinism guarantees of the parallel runtime: for every executor
 // width (serial, 1, 2, 8 threads), N-way direct comparison, cross
-// comparison, batch classification, and the forked comparison walk must
+// comparison, the pairwise pipeline, and batch classification must
 // return results *identical* to the serial path — same discrepancies, in
 // the same order, with the same counts.
 
@@ -55,7 +55,6 @@ TEST(ParallelDeterminismTest, DirectNWayComparisonMatchesSerial) {
     Executor pool(width);
     WorkflowOptions options;
     options.run.executor = &pool;
-    options.fork_threshold = 1;  // force the forked walk even at tiny roots
     EXPECT_EQ(make_session(teams, options).compare(), serial)
         << "width " << width;
   }
@@ -83,7 +82,6 @@ TEST(ParallelDeterminismTest, PairwisePipelineMatchesSerial) {
     Executor pool(width);
     CompareOptions options;
     options.run.executor = &pool;
-    options.fork_threshold = 1;
     EXPECT_EQ(discrepancies(teams[0], teams[1], options), serial)
         << "width " << width;
   }

@@ -173,11 +173,9 @@ TEST(Resolve, RejectsUnknownBaseTeam) {
 // runs in it.
 
 std::vector<Fdd> oracle_shaped(const std::vector<Policy>& policies) {
-  ConstructOptions tree;
-  tree.use_arena = false;
   std::vector<Fdd> fdds;
   for (const Policy& p : policies) {
-    fdds.push_back(build_reduced_fdd(p, tree));
+    fdds.push_back(test::tree_reduced_fdd(p));
     fdds.back().validate();
   }
   shape_all(fdds);
@@ -317,10 +315,8 @@ TEST_P(SessionOracle, CompareAndResolveMatchTheTreePath) {
     session.submit("t" + std::to_string(t), teams[t]);
   }
 
-  CompareOptions tree;
-  tree.use_arena = false;
   const std::vector<Discrepancy> diffs = session.compare();
-  ASSERT_EQ(diffs, discrepancies_many(teams, tree)) << "seed " << seed;
+  ASSERT_EQ(diffs, test::tree_discrepancies(teams)) << "seed " << seed;
 
   Rng rng(seed + 1000);
   std::uniform_int_distribution<std::size_t> team_pick(0, teams.size() - 1);

@@ -9,14 +9,12 @@
 
 #include <atomic>
 #include <cstddef>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "rt/govern.hpp"
-#include "rt/parallel.hpp"
 
 namespace dfw {
 namespace {
@@ -74,30 +72,6 @@ TEST(ExecutorTest, ChunkedCoversAllWithBoundedChunks) {
   });
   for (std::size_t i = 0; i < kN; ++i) {
     EXPECT_EQ(counts[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ExecutorTest, ParallelMapPreservesIndexOrder) {
-  Executor pool(4);
-  const std::vector<int> out =
-      parallel_map<int>(pool, 500, [](std::size_t i) {
-        return static_cast<int>(i * i);
-      });
-  ASSERT_EQ(out.size(), 500u);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i], static_cast<int>(i * i));
-  }
-}
-
-TEST(ExecutorTest, ParallelMapSupportsMoveOnlyResults) {
-  Executor pool(2);
-  const auto out = parallel_map<std::unique_ptr<int>>(
-      pool, 100, [](std::size_t i) {
-        return std::make_unique<int>(static_cast<int>(i));
-      });
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    ASSERT_NE(out[i], nullptr);
-    EXPECT_EQ(*out[i], static_cast<int>(i));
   }
 }
 

@@ -9,7 +9,11 @@
 #include <random>
 #include <vector>
 
+#include "fdd/compare.hpp"
+#include "fdd/construct.hpp"
 #include "fdd/fdd.hpp"
+#include "fdd/reduce.hpp"
+#include "fdd/shape.hpp"
 #include "fw/policy.hpp"
 
 namespace dfw::test {
@@ -91,6 +95,28 @@ inline bool fdd_matches_policy(const Fdd& fdd, const Policy& policy) {
     }
   }
   return true;
+}
+
+/// The paper-faithful tree pipeline, with no arena code in it: Fig. 7
+/// construction, then reduction. The oracle for build_reduced_fdd.
+inline Fdd tree_reduced_fdd(const Policy& policy) {
+  Fdd fdd = build_fdd(policy);
+  reduce(fdd);
+  return fdd;
+}
+
+/// Direct comparison on the tree pipeline: reduced trees, validated,
+/// shaped to a common refinement, walked in lockstep. The oracle for
+/// discrepancies() (two policies) and discrepancies_many().
+inline std::vector<Discrepancy> tree_discrepancies(
+    const std::vector<Policy>& policies) {
+  std::vector<Fdd> fdds;
+  for (const Policy& p : policies) {
+    fdds.push_back(tree_reduced_fdd(p));
+    fdds.back().validate();
+  }
+  shape_all(fdds);
+  return compare_fdds_many(fdds);
 }
 
 }  // namespace dfw::test

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "diverse/workflow.hpp"
+#include "synth/synth.hpp"
 #include "test_util.hpp"
 
 namespace dfw {
@@ -68,6 +69,53 @@ TEST(Workflow, CrossCompareCoversAllPairs) {
   EXPECT_EQ(reports[0].team_b, 1u);
   EXPECT_EQ(reports[2].team_a, 1u);
   EXPECT_EQ(reports[2].team_b, 2u);
+}
+
+TEST(Workflow, CrossCompareMatchesPerPairTreeOracle) {
+  // cross_compare shapes and compares the diagrams the session built at
+  // submit; each pair's report must equal the tree pipeline run on that
+  // pair of policies alone. Odd rounds compare directly first, so the
+  // pairs run on an arena that already holds the direct shaping.
+  Rng rng(2026);
+  for (std::size_t k = 2; k <= 5; ++k) {
+    for (int round = 0; round < 6; ++round) {
+      std::vector<Policy> teams;
+      if (round < 4) {
+        SynthConfig config;
+        config.num_rules = 10 + 15 * static_cast<std::size_t>(round);
+        teams.push_back(synth_policy(config, rng));
+        while (teams.size() < k) {
+          teams.push_back(perturb_policy(teams.front(), 15.0, rng));
+        }
+      } else {
+        while (teams.size() < k) {
+          teams.push_back(test::random_policy(tiny3(), 6, rng));
+        }
+      }
+      DiverseDesign session((DecisionSet()));
+      for (std::size_t t = 0; t < k; ++t) {
+        session.submit("t" + std::to_string(t), teams[t]);
+      }
+      if (round % 2 == 1) {
+        (void)session.compare();
+      }
+      const std::vector<PairwiseReport> reports = session.cross_compare();
+      ASSERT_EQ(reports.size(), k * (k - 1) / 2);
+      std::size_t i = 0;
+      for (std::size_t a = 0; a < k; ++a) {
+        for (std::size_t b = a + 1; b < k; ++b, ++i) {
+          EXPECT_EQ(reports[i].team_a, a);
+          EXPECT_EQ(reports[i].team_b, b);
+          EXPECT_TRUE(reports[i].complete);
+          EXPECT_EQ(reports[i].discrepancies,
+                    test::tree_discrepancies({teams[a], teams[b]}))
+              << "K " << k << ", round " << round << ", pair " << a << ","
+              << b;
+        }
+      }
+      EXPECT_EQ(session.cross_compare(), reports);
+    }
+  }
 }
 
 TEST(Workflow, PairwiseUnionMatchesDirectComparison) {
